@@ -195,6 +195,12 @@ def test_unknown_config_key_exits_usage(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_overlong_sample_schedule_exits_usage(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG + "\nsample_ratio = 1.0000001\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "sample schedule" in capsys.readouterr().err
+
+
 def test_simulate_failing_fit_target_exit(tmp_path, capsys):
     cfg_text = BASE_CFG + (
         'fit_targets = [{"name": "absurd", "label": "linf", "kind": "exponential",'

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decaylab import evolve
 from decaylab.evolve import (
+    IMEX_RTOL,
     InitialSpec,
     NonConvergenceError,
     OverflowDetected,
     Scenario,
+    _ImplicitStencil,
     detect_extinction,
     make_initial,
     run,
@@ -15,8 +20,15 @@ from decaylab.evolve import (
     step_explicit,
     step_imex,
 )
-from decaylab.field import CoefficientField, Grid, ScalarField, write_field_csv
-from decaylab.metrics import NormSeries
+from decaylab.field import (
+    CoefficientField,
+    Grid,
+    ScalarField,
+    face_diffusivities,
+    p_flux_divergence,
+    write_field_csv,
+)
+from decaylab.metrics import NormSeries, lr_norm
 from decaylab.regime import ProblemParams
 
 P_HEAT = ProblemParams(p=2.0, q=1.0, dim_n=3, gamma=0.0)
@@ -232,6 +244,192 @@ def test_imex_nonlinear_consistency():
     assert errs[1] / errs[0] < 0.6
 
 
+def _imex_tol(u0: ScalarField) -> float:
+    """The residual tolerance step_imex applies to a step from u0."""
+    return IMEX_RTOL * (1.0 + lr_norm(u0.values, 2.0, u0.grid.quad_weight))
+
+
+def _lagged_faces(cur: ScalarField, coeff: CoefficientField, p: float, eps: float, t: float):
+    """Face diffusivities A * D(cur) of one lagged-diffusivity sweep."""
+    diffs = face_diffusivities(cur, p, eps)
+    return [coeff.face_values(cur.grid, axis, t) * d for axis, d in enumerate(diffs)]
+
+
+def _dense_implicit(grid: Grid, dfaces: list, dt: float) -> np.ndarray:
+    """Dense matrix of v -> v - dt * div(D grad v), one unit vector at a time."""
+    n = int(np.prod(grid.shape))
+    mat = np.zeros((n, n))
+    for k in range(n):
+        v = np.zeros(n)
+        v[k] = 1.0
+        v = v.reshape(grid.shape)
+        div = np.zeros(grid.shape)
+        for axis, h in enumerate(grid.spacing):
+            pad = [(0, 0)] * grid.dim
+            pad[axis] = (1, 1)
+            flux = dfaces[axis] * np.diff(np.pad(v, pad), axis=axis) / h
+            div += np.diff(flux, axis=axis) / h
+        mat[:, k] = (v - dt * div).ravel()
+    return mat
+
+
+def _dense_from_upper_band(ab: np.ndarray) -> np.ndarray:
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    mat = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - u), j + 1):
+            mat[i, j] = mat[j, i] = ab[u + i - j, j]
+    return mat
+
+
+COEFFICIENTS = {
+    "identity": CoefficientField.identity(),
+    "scalar": CoefficientField(
+        kind="scalar",
+        fn=lambda t, *xs: 1.0 + 0.5 * np.sin(3.0 * xs[0] + 1.0) ** 2,
+        alpha=1.0,
+        lambda_upper=1.5,
+    ),
+    "diagonal": CoefficientField(
+        kind="diagonal",
+        fn=lambda t, axis, *xs: (1.0 + axis) * (1.0 + 0.25 * np.cos(2.0 * xs[-1])),
+        alpha=0.75,
+        lambda_upper=2.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("coeff_kind", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("shape", [(7,), (1,), (4, 4), (4, 5), (5, 3), (1, 6), (6, 1)])
+def test_implicit_stencil_matches_dense_assembly(shape, coeff_kind):
+    grid = Grid(shape, (1.0,) * len(shape) if len(shape) == 1 else (1.0, 1.3))
+    coeff = COEFFICIENTS[coeff_kind]
+    rng = np.random.default_rng(sum(shape))
+    cur = ScalarField(grid, rng.uniform(0.2, 1.0, size=shape))
+    dfaces = _lagged_faces(cur, coeff, 1.7, 1e-3, 0.2)
+    dt = 0.02
+    want = _dense_implicit(grid, dfaces, dt)
+    stencil = _ImplicitStencil.assemble(grid, dfaces, dt)
+    n = want.shape[0]
+    assert np.allclose(_dense_from_upper_band(stencil.banded()), want, rtol=1e-14, atol=1e-14)
+    columns = np.column_stack([stencil.matvec(np.eye(n)[:, k]) for k in range(n)])
+    assert np.allclose(columns, want, rtol=1e-14, atol=1e-14)
+    v = rng.standard_normal(n)
+    assert np.allclose(stencil.matvec(v), want @ v, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (1, 6)])
+def test_step_imex_degenerate_2d_grid_matches_dense_reference(shape):
+    # one node across an axis: the along-axis and across-axis couplings share an offset
+    grid = Grid(shape, (1.0, 0.8))
+    u0 = ScalarField(grid, np.random.default_rng(18).uniform(0.5, 1.0, size=shape))
+    dt = 0.03
+    unit_faces = [np.ones((shape[0] + 1, shape[1])), np.ones((shape[0], shape[1] + 1))]
+    mat = _dense_implicit(grid, unit_faces, dt)
+    want = np.linalg.solve(mat, u0.values.ravel()).reshape(shape)
+    got = step_imex(u0, dt, P_HEAT)
+    assert np.allclose(got.values, want, rtol=1e-12, atol=1e-13)
+
+
+def test_single_blas_thread_restores_the_thread_count():
+    control = evolve._openblas_threads()
+    if control is None:
+        pytest.skip("scipy.linalg is not backed by an OpenBLAS with thread control")
+    get, _ = control
+    before = get()
+    with evolve._single_blas_thread():
+        assert get() == 1
+    assert get() == before
+
+
+def test_step_imex_flat_region_without_regularization_is_nonconvergence():
+    # p < 2 with eps_reg = 0: a zero-gradient face has infinite diffusivity
+    params = ProblemParams(p=1.5, q=1.0, dim_n=3)
+    for grid in (Grid((16,), (1.0,)), Grid((9, 8), (1.0, 1.0))):
+        u0 = make_initial(InitialSpec(kind="bump", radius=0.3), grid)
+        assert np.any(u0.values == 0.0)
+        with pytest.raises(NonConvergenceError, match="non-finite"):
+            step_imex(u0, 1e-3, params, eps_reg=0.0)
+
+
+def test_step_imex_refactor_path_matches(monkeypatch):
+    # with no CG budget every sweep re-factors its own matrix and solves directly
+    grid = Grid((9, 11), (1.0, 1.2))
+    u0 = make_initial(InitialSpec(kind="bump"), grid)
+    params = ProblemParams(p=1.8, q=1.0, dim_n=2)
+    factorizations = []
+    real_cholesky = evolve.cholesky_banded
+
+    def counting_cholesky(*args, **kw):
+        factorizations.append(1)
+        return real_cholesky(*args, **kw)
+
+    monkeypatch.setattr(evolve, "cholesky_banded", counting_cholesky)
+    pcg = step_imex(u0, 5e-3, params, eps_reg=1e-4)
+    pcg_factorizations = len(factorizations)
+    monkeypatch.setattr(evolve, "IMEX_CG_MAX_ITER", 0)
+    factorizations.clear()
+    direct = step_imex(u0, 5e-3, params, eps_reg=1e-4)
+    assert 1 <= pcg_factorizations < len(factorizations)
+    diff = lr_norm(pcg.values - direct.values, 2.0, grid.quad_weight)
+    assert diff <= 2.0 * _imex_tol(u0)
+
+
+def test_step_imex_2d_nonlinear_matches_dense_picard():
+    # the damped lagged-diffusivity loop with dense solves as the reference
+    grid = Grid((6, 7), (1.0, 1.1))
+    coeff = COEFFICIENTS["diagonal"]
+    params = ProblemParams(p=2.7, q=1.0, dim_n=2)
+    eps, dt, t = 1e-8, 4e-3, 0.1
+    u0 = ScalarField(grid, np.random.default_rng(17).uniform(0.0, 1.0, size=grid.shape))
+    tol = _imex_tol(u0)
+    cur, prev_res = u0.values, math.inf
+    for _ in range(evolve.IMEX_MAX_ITER):
+        faces = _lagged_faces(ScalarField(grid, cur), coeff, params.p, eps, t + dt)
+        x = np.linalg.solve(_dense_implicit(grid, faces, dt), u0.values.ravel())
+        x = x.reshape(grid.shape)
+        div = p_flux_divergence(ScalarField(grid, x), coeff, params.p, eps, t + dt).values
+        res = lr_norm(x - dt * div - u0.values, 2.0, grid.quad_weight)
+        if res < tol:
+            break
+        if res >= prev_res:
+            x = 0.5 * (x + cur)
+        cur, prev_res = x, res
+    else:
+        pytest.fail("dense reference did not converge")
+    got = step_imex(u0, dt, params, coeff, eps, t)
+    assert lr_norm(got.values - x, 2.0, grid.quad_weight) <= 2.0 * tol
+
+
+_SHAPES = st.one_of(
+    st.tuples(st.integers(3, 20)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(1.2, 6.0),
+    shape=_SHAPES,
+    kind=st.sampled_from(["bump", "random_positive"]),
+    seed=st.integers(0, 2**16),
+    dt=st.floats(1e-4, 1e-1),
+)
+def test_step_imex_maximum_principle_property(p, shape, kind, seed, dt):
+    # gamma = 0: no source, so a converged step keeps 0 <= u <= sup u0
+    params = ProblemParams(p=p, q=1.0, dim_n=3)
+    grid = Grid(shape, (1.0,) * len(shape))
+    u0 = make_initial(InitialSpec(kind=kind), grid, params, seed)
+    eps = evolve.DEFAULT_EPS_DEGENERATE if p >= 2.0 else evolve.DEFAULT_EPS_SINGULAR
+    try:
+        new = step_imex(u0, dt, params, eps_reg=eps)
+    except NonConvergenceError:
+        return
+    slack = _imex_tol(u0)
+    assert float(new.values.max()) <= float(u0.values.max()) + slack
+    assert float(new.values.min()) >= -slack
+
+
 # ---------------------------------------------------------------------------
 # the scenario runner
 
@@ -386,6 +584,12 @@ def test_run_early_stop_on_small_sup():
     assert res.metadata["stopped_early"]
     assert res.series.times[-1] < 4.0
     assert res.extinction_time is not None
+
+
+def test_sample_schedule_too_long_is_rejected():
+    s = _scenario(t_end=1.0, sample_ratio=1.0 + 1e-7)
+    with pytest.raises(ValueError, match="sample schedule"):
+        run(s)
 
 
 def test_detect_extinction_semantics():

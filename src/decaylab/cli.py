@@ -152,10 +152,7 @@ def build_params(cfg: dict) -> ProblemParams:
     for key in ("p", "q", "dim_n"):
         if cfg.get(key) is None:
             raise ValueError(f"config is missing required key {key!r}")
-    lengths = cfg["domain_lengths"]
-    if isinstance(lengths, (int, float)):
-        lengths = [lengths] * _grid_dim(cfg)
-    measure = float(np.prod([float(l) for l in lengths]))
+    measure = float(np.prod(build_grid(cfg).lengths))
     return ProblemParams(
         p=float(cfg["p"]),
         q=float(cfg["q"]),
@@ -166,13 +163,6 @@ def build_params(cfg: dict) -> ProblemParams:
         sobolev_const=float(cfg["sobolev_const"]),
         measure=measure,
     )
-
-
-def _grid_dim(cfg: dict) -> int:
-    n = cfg.get("grid_n")
-    if n is None:
-        raise ValueError("config is missing required key 'grid_n'")
-    return len(n) if isinstance(n, list) else 1
 
 
 def build_grid(cfg: dict) -> Grid:
@@ -186,22 +176,20 @@ def build_grid(cfg: dict) -> Grid:
 
 def build_coefficient(cfg: dict) -> CoefficientField:
     kind = cfg["coefficient"]
-    alpha = float(cfg["alpha"])
-    lam = float(cfg["lambda_upper"])
     if kind == "identity":
-        return CoefficientField(alpha=alpha, lambda_upper=lam)
+        return CoefficientField()
     if kind == "sinusoidal":
-        lengths = cfg["domain_lengths"]
+        alpha = float(cfg["alpha"])
+        lam = float(cfg["lambda_upper"])
+        lengths = build_grid(cfg).lengths
 
         def fn(t, *coords):
-            if isinstance(lengths, list):
-                ls = lengths
-            else:
-                ls = [lengths] * len(coords)
-            phase = sum(c / float(l) for c, l in zip(coords, ls))
-            return alpha + (lam - alpha) * (0.5 + 0.5 * np.sin(2.0 * math.pi * phase + t))
+            phase = sum(c / l for c, l in zip(coords, lengths))
+            value = alpha + (lam - alpha) * (0.5 + 0.5 * np.sin(2.0 * math.pi * phase + t))
+            # alpha + (lam - alpha) * 1 can round one ulp past lam
+            return np.clip(value, alpha, lam)
 
-        return CoefficientField(kind="scalar", fn=fn, alpha=alpha, lambda_upper=lam)
+        return CoefficientField(kind="scalar", fn=fn)
     raise ValueError(f"unknown coefficient {kind!r} (have: identity, sinusoidal)")
 
 

@@ -1,13 +1,13 @@
 """Initial data, explicit/IMEX time steppers and the adaptive simulation loop.
 
-The explicit stepper uses a diffusive CFL bound with the regularized face
-diffusivity plus a source cap keeping each source increment below a tenth of
-the current sup norm.  The IMEX stepper treats diffusion implicitly (lagged
-diffusivity fixed point) and the gradient source explicitly; each step factors
-its first sweep's matrix once by banded Cholesky and solves the later sweeps by
-conjugate gradients preconditioned with that factor.  Runs record norms at
-geometrically spaced sample times and stop on overflow (sup norm past 1e12) or
-on an optional extinction floor.
+The explicit stepper uses a diffusive CFL bound on the face mobility
+(coefficient times regularized diffusivity) plus a source cap keeping each
+source increment below a tenth of the current sup norm.  The IMEX stepper
+treats diffusion implicitly (lagged diffusivity fixed point) and the gradient
+source explicitly; each step factors its first sweep's matrix once by banded
+Cholesky and solves the later sweeps by conjugate gradients preconditioned
+with that factor.  Runs record norms at geometrically spaced sample times and
+stop on overflow (sup norm past 1e12) or on an optional extinction floor.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .field import (
     ScalarField,
     _divergence_from,
     _face_components,
-    _diffusivity,
+    _face_mobility,
     _nodal_magnitude_from,
     read_field_csv,
 )
@@ -61,7 +61,7 @@ class OverflowDetected(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Implicit diffusion solve failed to converge."""
+    """A step failed: the implicit solve did not converge or the step size collapsed."""
 
 
 INITIAL_KINDS = ("zero", "eigenfunction", "bump", "power_spike", "random_positive", "file")
@@ -198,6 +198,8 @@ class Scenario:
             raise ValueError("norm orders must be >= 1")
         if self.stop_linf_atol < 0.0:
             raise ValueError("stop_linf_atol must be >= 0")
+        if self.eps_reg is not None and not self.eps_reg >= 0.0:
+            raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
 
     @property
     def eps_resolved(self) -> float:
@@ -239,6 +241,45 @@ class RunResult:
     metadata: dict
 
 
+def _explicit_step(values, grid, params, coeff, eps_reg, t):
+    """(stable dt, dt -> forward Euler update) of one state.
+
+    The stable dt is the diffusive CFL bound with safety 0.4 on the face
+    mobility A(t) D, capped so that the source adds at most a tenth of the
+    sup norm in one step.
+    """
+    comps = _face_components(values, grid.spacing)
+    mobility = _face_mobility(comps, grid, coeff, params.p, eps_reg, t)
+    max_m = max(float(np.max(m, initial=0.0)) for m in mobility)
+    if max_m > 0.0:
+        h_min = min(grid.spacing)
+        stable = CFL_SAFETY * h_min * h_min / (2.0 * grid.dim * max_m)
+    else:
+        stable = float("inf")
+    if params.gamma > 0.0:
+        grad_mag = _nodal_magnitude_from(comps)
+        source_max = params.gamma * float(np.max(grad_mag, initial=0.0)) ** params.q
+        if source_max > 0.0:
+            sup = float(np.max(np.abs(values), initial=0.0))
+            stable = min(stable, SOURCE_CAP_FRACTION * max(sup, U_FLOOR) / source_max)
+
+    def update(dt: float) -> np.ndarray:
+        rhs = _divergence_from(comps, mobility, grid)
+        if params.gamma > 0.0:
+            rhs = rhs + params.gamma * grad_mag**params.q
+        new = values + dt * rhs
+        _check_overflow(new, t + dt)
+        return new
+
+    return stable, update
+
+
+def _check_overflow(values: np.ndarray, t: float) -> None:
+    sup = float(np.max(np.abs(values), initial=0.0))
+    if not np.isfinite(sup) or sup > OVERFLOW_SENTINEL or not np.all(np.isfinite(values)):
+        raise OverflowDetected(t, sup)
+
+
 def stable_dt(
     fld: ScalarField,
     params: ProblemParams,
@@ -246,42 +287,8 @@ def stable_dt(
     eps_reg: float = 0.0,
     t: float = 0.0,
 ) -> float:
-    """Explicit step bound: diffusive CFL with safety 0.4 plus a source cap."""
-    comps = _face_components(fld.values, fld.grid.spacing)
-    return _stable_dt_from(comps, fld.values, fld.grid, params, eps_reg)
-
-
-def _stable_dt_from(comps, values, grid, params, eps_reg) -> float:
-    p = params.p
-    max_d = 0.0
-    for _, mag2 in comps:
-        d = _diffusivity(mag2, p, eps_reg)
-        max_d = max(max_d, float(np.max(d, initial=0.0)))
-    if max_d > 0.0:
-        h_min = min(grid.spacing)
-        dt = CFL_SAFETY * h_min * h_min / (2.0 * grid.dim * params.lambda_upper * max_d)
-    else:
-        dt = float("inf")
-    if params.gamma > 0.0:
-        top_mag = float(np.max(_nodal_magnitude_from(comps), initial=0.0))
-        source_max = params.gamma * top_mag**params.q
-        if source_max > 0.0:
-            sup = float(np.max(np.abs(values), initial=0.0))
-            dt = min(dt, SOURCE_CAP_FRACTION * max(sup, U_FLOOR) / source_max)
-    return dt
-
-
-def _explicit_rhs(comps, values, grid, params, coeff, eps_reg, t):
-    rhs = _divergence_from(comps, grid, coeff, params.p, eps_reg, t)
-    if params.gamma > 0.0:
-        rhs = rhs + params.gamma * _nodal_magnitude_from(comps) ** params.q
-    return rhs
-
-
-def _check_overflow(values: np.ndarray, t: float) -> None:
-    sup = float(np.max(np.abs(values), initial=0.0))
-    if not np.isfinite(sup) or sup > OVERFLOW_SENTINEL or not np.all(np.isfinite(values)):
-        raise OverflowDetected(t, sup)
+    """Explicit step bound: diffusive CFL on A(t) D with safety 0.4 plus a source cap."""
+    return _explicit_step(fld.values, fld.grid, params, coeff, eps_reg, t)[0]
 
 
 def step_explicit(
@@ -295,11 +302,8 @@ def step_explicit(
     """Forward Euler step; raises OverflowDetected past the blow-up sentinel."""
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    coeff = coeff if coeff is not None else CoefficientField.identity()
-    comps = _face_components(fld.values, fld.grid.spacing)
-    new = fld.values + dt * _explicit_rhs(comps, fld.values, fld.grid, params, coeff, eps_reg, t)
-    _check_overflow(new, t + dt)
-    return ScalarField(fld.grid, new)
+    _, update = _explicit_step(fld.values, fld.grid, params, coeff, eps_reg, t)
+    return ScalarField(fld.grid, update(dt))
 
 
 @functools.lru_cache(maxsize=None)
@@ -430,28 +434,23 @@ def step_imex(
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    coeff = coeff if coeff is not None else CoefficientField.identity()
     grid = fld.grid
     p = params.p
     t_new = t + dt
-    comps0 = _face_components(fld.values, grid.spacing)
+    comps = _face_components(fld.values, grid.spacing)
     b = fld.values.copy()
     if params.gamma > 0.0:
-        b = b + dt * params.gamma * _nodal_magnitude_from(comps0) ** params.q
+        b = b + dt * params.gamma * _nodal_magnitude_from(comps) ** params.q
     tol = IMEX_RTOL * (1.0 + lr_norm(fld.values, 2.0, grid.quad_weight))
     # the CG residual is Euclidean; lr_norm weighs each node by quad_weight
     cg_atol = IMEX_CG_FRACTION * tol / math.sqrt(grid.quad_weight)
     flat_b = b.ravel()
 
     cur = fld.values
+    dfaces = _face_mobility(comps, grid, coeff, p, eps_reg, t_new)
     factor = None
     prev_res = float("inf")
     for _ in range(IMEX_MAX_ITER):
-        comps = _face_components(cur, grid.spacing)
-        dfaces = []
-        for axis, (_, mag2) in enumerate(comps):
-            a = coeff.face_values(grid, axis, t_new)
-            dfaces.append(a * _diffusivity(mag2, p, eps_reg))
         if not all(np.all(np.isfinite(d)) for d in dfaces):
             raise NonConvergenceError(
                 "implicit solve produced non-finite values (non-finite face diffusivity)"
@@ -464,14 +463,16 @@ def step_imex(
         if not np.all(np.isfinite(x)):
             raise NonConvergenceError("implicit solve produced non-finite values")
         x = x.reshape(grid.shape)
-        comps_x = _face_components(x, grid.spacing)
-        residual = x - dt * _divergence_from(comps_x, grid, coeff, p, eps_reg, t_new) - b
+        comps = _face_components(x, grid.spacing)
+        dfaces = _face_mobility(comps, grid, coeff, p, eps_reg, t_new)
+        residual = x - dt * _divergence_from(comps, dfaces, grid) - b
         res = lr_norm(residual, 2.0, grid.quad_weight)
         if res < tol:
             _check_overflow(x, t_new)
             return ScalarField(grid, x)
         if res >= prev_res:
             x = 0.5 * (x + cur)  # damp when the fixed point overshoots
+            dfaces = _face_mobility(_face_components(x, grid.spacing), grid, coeff, p, eps_reg, t_new)
         cur = x
         prev_res = res
     raise NonConvergenceError(
@@ -502,23 +503,73 @@ def _sample_times(scenario: Scenario) -> list:
     return sorted(targets)
 
 
-def _norm_labels(scenario: Scenario) -> list:
-    labels = ["linf", "l1"]
-    labels += [f"l{r:g}" for r in scenario.r_list if r != 1.0 and math.isfinite(r)]
-    for k in scenario.k_levels:
-        labels += [f"gk{k:g}_lsigma", f"gk{k:g}_l1"]
-    return labels
+def _check_ellipticity(scenario: Scenario, times) -> None:
+    """ValueError unless every face coefficient at every time lies in [alpha, lambda_upper]."""
+    params, grid = scenario.params, scenario.grid
+    for t in times:
+        for axis in range(grid.dim):
+            a = np.asarray(scenario.coefficient.face_values(grid, axis, t))
+            lo, hi = float(a.min()), float(a.max())
+            if not (params.alpha <= lo and hi <= params.lambda_upper):
+                raise ValueError(
+                    f"coefficient values [{lo:g}, {hi:g}] on axis {axis} at t={t:g} leave the "
+                    f"ellipticity bounds [alpha, lambda_upper] = [{params.alpha:g}, {params.lambda_upper:g}]"
+                )
+
+
+def _step_size(t: float, dt: float) -> float:
+    """dt, or NonConvergenceError when a step of dt would not advance t."""
+    if not t + dt > t:
+        raise NonConvergenceError(f"step size collapsed at t={t} (dt={dt})")
+    return dt
+
+
+@dataclass
+class _Stepper:
+    """advance(u, t, t_target) -> (u, t): one accepted step from t towards t_target."""
+
+    scenario: Scenario
+    rejected: int = 0
+
+
+class _ExplicitStepper(_Stepper):
+    """Forward Euler at the stable dt; the step that reaches t_target lands on it."""
+
+    def advance(self, u, t, t_target):
+        sc = self.scenario
+        stable, update = _explicit_step(u, sc.grid, sc.params, sc.coefficient, sc.eps_resolved, t)
+        dt = _step_size(t, min(stable, t_target - t))
+        return update(dt), (t_target if stable >= t_target - t else t + dt)
+
+
+class _ImexStepper(_Stepper):
+    """step_imex at dt_init, halving dt after each solve that fails to converge."""
+
+    def advance(self, u, t, t_target):
+        sc = self.scenario
+        landing = sc.dt_init >= t_target - t
+        dt = min(sc.dt_init, t_target - t)
+        for halvings in range(IMEX_MAX_HALVINGS + 1):
+            _step_size(t, dt)
+            try:
+                new = step_imex(ScalarField(sc.grid, u), dt, sc.params, sc.coefficient, sc.eps_resolved, t)
+                return new.values, (t_target if landing else t + dt)
+            except NonConvergenceError:
+                self.rejected += 1
+                if halvings == IMEX_MAX_HALVINGS:
+                    raise
+                dt *= 0.5
+                landing = False
 
 
 def run(scenario: Scenario) -> RunResult:
     """Advance the scenario to t_end, recording norms at the sample schedule."""
-    params = scenario.params
     grid = scenario.grid
-    coeff = scenario.coefficient
-    eps = scenario.eps_resolved
     sigma_eff = scenario.sigma_resolved
     weight = grid.quad_weight
-    u0 = make_initial(scenario.initial, grid, params, scenario.seed)
+    targets = _sample_times(scenario)
+    _check_ellipticity(scenario, [0.0] + targets)
+    u0 = make_initial(scenario.initial, grid, scenario.params, scenario.seed)
 
     r_cols = [r for r in scenario.r_list if r != 1.0 and math.isfinite(r)]
     rows = []
@@ -545,44 +596,15 @@ def run(scenario: Scenario) -> RunResult:
         snapshots.append((0.0, ScalarField(grid, u.copy())))
 
     accepted = 0
-    rejected = 0
     blow_time = None
     stopped_early = False
-    explicit = scenario.stepper == "explicit"
+    stepper = (_ExplicitStepper if scenario.stepper == "explicit" else _ImexStepper)(scenario)
 
     try:
-        for target in _sample_times(scenario):
+        for target in targets:
             while t < target:
-                comps = _face_components(u, grid.spacing)
-                if explicit:
-                    dt = _stable_dt_from(comps, u, grid, params, eps)
-                else:
-                    dt = scenario.dt_init
-                landing = dt >= target - t
-                dt = min(dt, target - t)
-                if not dt > 0.0:
-                    raise RuntimeError(f"step size collapsed at t={t}")
-                if explicit:
-                    new = u + dt * _explicit_rhs(comps, u, grid, params, coeff, eps, t)
-                    _check_overflow(new, t + dt)
-                else:
-                    halvings = 0
-                    while True:
-                        try:
-                            new = step_imex(
-                                ScalarField(grid, u), dt, params, coeff, eps, t
-                            ).values
-                            break
-                        except NonConvergenceError:
-                            halvings += 1
-                            rejected += 1
-                            if halvings > IMEX_MAX_HALVINGS:
-                                raise
-                            dt *= 0.5
-                            landing = False
+                u, t = stepper.advance(u, t, target)
                 accepted += 1
-                t = target if landing else t + dt
-                u = new
                 if scenario.stop_linf_atol > 0.0:
                     if float(np.max(np.abs(u), initial=0.0)) <= scenario.stop_linf_atol:
                         stopped_early = True
@@ -601,7 +623,7 @@ def run(scenario: Scenario) -> RunResult:
     extinction = detect_extinction(series) if blow_time is None else None
     metadata = {
         "sigma_eff": sigma_eff,
-        "eps_reg": eps,
+        "eps_reg": scenario.eps_resolved,
         "dim_mismatch": scenario.dim_mismatch,
         "stopped_early": stopped_early,
         "final_time": float(series.times[-1]),
@@ -614,7 +636,7 @@ def run(scenario: Scenario) -> RunResult:
         extinction_time=extinction,
         blow_up_time=blow_time,
         steps_accepted=accepted,
-        steps_rejected=rejected,
+        steps_rejected=stepper.rejected,
         metadata=metadata,
     )
 

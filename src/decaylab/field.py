@@ -105,25 +105,21 @@ class ScalarField:
 class CoefficientField:
     """Diffusion coefficient A(t,x), evaluated at face centers.
 
-    kind "identity": constant 1 (alpha <= 1 <= lambda_upper must hold).
-    kind "scalar": fn(t, *coords) -> array, values must stay in [alpha, lambda_upper].
+    kind "identity": constant 1.
+    kind "scalar": fn(t, *coords) -> array.
     kind "diagonal": fn(t, axis, *coords) -> array, one entry per axis direction.
+
+    run() checks the values against the ProblemParams ellipticity bounds.
     """
 
     kind: str = "identity"
     fn: Optional[Callable] = None
-    alpha: float = 1.0
-    lambda_upper: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("identity", "scalar", "diagonal"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind != "identity" and self.fn is None:
             raise ValueError(f"coefficient kind {self.kind!r} needs a callable")
-        if not 0.0 < self.alpha <= self.lambda_upper:
-            raise ValueError("need 0 < alpha <= lambda_upper")
-        if self.kind == "identity" and not self.alpha <= 1.0 <= self.lambda_upper:
-            raise ValueError("identity coefficient needs alpha <= 1 <= lambda_upper")
 
     @classmethod
     def identity(cls) -> "CoefficientField":
@@ -141,33 +137,15 @@ class CoefficientField:
         out = np.broadcast_to(out, expected)
         return out
 
-    def bounds_violation(self, grid: Grid, times, tol: float = 1e-12) -> float:
-        """Worst excursion outside [alpha, lambda_upper] over sampled faces/times."""
-        worst = 0.0
-        for t in times:
-            for axis in range(grid.dim):
-                vals = np.asarray(self.face_values(grid, axis, t), dtype=float)
-                worst = max(
-                    worst,
-                    float(np.max(self.alpha - vals, initial=0.0)),
-                    float(np.max(vals - self.lambda_upper, initial=0.0)),
-                )
-        return worst
-
-
-def _padded(values: np.ndarray) -> np.ndarray:
-    return np.pad(values, 1, mode="constant", constant_values=0.0)
-
 
 def _face_components(values: np.ndarray, spacing) -> list:
     """Per axis: (normal gradient, squared full gradient) on that axis's faces."""
+    p = np.pad(values, 1)  # the Dirichlet zeros around the interior nodes
     if values.ndim == 1:
         (h,) = spacing
-        p = _padded(values)
         g = (p[1:] - p[:-1]) / h
         return [(g, g * g)]
     hx, hy = spacing
-    p = _padded(values)
     gx = (p[1:, 1:-1] - p[:-1, 1:-1]) / hx
     tx = (p[1:, 2:] - p[1:, :-2] + p[:-1, 2:] - p[:-1, :-2]) / (4.0 * hy)
     gy = (p[1:-1, 1:] - p[1:-1, :-1]) / hy
@@ -182,13 +160,21 @@ def _diffusivity(mag2: np.ndarray, p: float, eps_reg: float):
         return (eps_reg * eps_reg + mag2) ** ((p - 2.0) / 2.0)
 
 
-def _divergence_from(comps, grid: Grid, coeff: CoefficientField, p, eps_reg, t):
+def _face_mobility(comps, grid: Grid, coeff: Optional[CoefficientField], p, eps_reg, t) -> list:
+    """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces; None is A = 1."""
+    coeff = coeff if coeff is not None else CoefficientField.identity()
+    return [
+        coeff.face_values(grid, axis, t) * _diffusivity(mag2, p, eps_reg)
+        for axis, (_, mag2) in enumerate(comps)
+    ]
+
+
+def _divergence_from(comps, mobility, grid: Grid) -> np.ndarray:
+    """Conservative divergence of the face fluxes mobility * normal gradient."""
     div = np.zeros(grid.shape)
-    for axis, (g, mag2) in enumerate(comps):
-        d = _diffusivity(mag2, p, eps_reg)
-        a = coeff.face_values(grid, axis, t)
+    for axis, ((g, _), m) in enumerate(zip(comps, mobility)):
         with np.errstate(invalid="ignore"):
-            flux = a * d * g
+            flux = m * g
         div += np.diff(flux, axis=axis) / grid.spacing[axis]
     if not np.all(np.isfinite(div)):
         raise ValueError(
@@ -238,8 +224,10 @@ def p_flux_divergence(
     """
     if eps_reg < 0.0:
         raise ValueError("eps_reg must be >= 0")
-    comps = _face_components(fld.values, fld.grid.spacing)
-    return ScalarField(fld.grid, _divergence_from(comps, fld.grid, coeff, p, eps_reg, t))
+    grid = fld.grid
+    comps = _face_components(fld.values, grid.spacing)
+    mobility = _face_mobility(comps, grid, coeff, p, eps_reg, t)
+    return ScalarField(grid, _divergence_from(comps, mobility, grid))
 
 
 def gradient_magnitude(fld: ScalarField) -> ScalarField:

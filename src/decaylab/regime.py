@@ -44,7 +44,7 @@ class ProblemParams:
        can answer out_of_range, but every quantitative routine needs q < p)
     dim_n: space dimension entering the exponent formulas (integer >= 2)
     gamma: source strength (>= 0, 0 disables the source)
-    alpha, lambda_upper: ellipticity bounds of the coefficient field
+    alpha, lambda_upper: ellipticity bounds; run() checks the coefficient against them
     sobolev_const: embedding constant entering the contraction rate
     measure: volume of the domain
     """

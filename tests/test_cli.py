@@ -233,6 +233,81 @@ t_end = 5.0
     assert meta["run"]["blow_up_time"] is not None
 
 
+COLLAPSE_CFG = """
+p = 1.5
+q = 1.0
+dim_n = 3
+grid_n = 16
+initial_kind = "bump"
+initial_radius = 0.3
+eps_reg = 0.0
+t_end = 1e-3
+stepper = "explicit"
+"""
+
+
+def test_simulate_step_size_collapse_exit(tmp_path, capsys):
+    # p < 2, eps_reg = 0 and a flat region: the stable dt is 0
+    cfg = write_cfg(tmp_path, COLLAPSE_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_BLOWUP
+    assert "step size collapsed" in capsys.readouterr().err
+
+
+def test_sweep_step_size_collapse_is_reported(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, COLLAPSE_CFG + "sweep_p = [1.5, 1.6]\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == EXIT_BLOWUP
+    capsys.readouterr()
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [s["exit_code"] for s in summary] == [EXIT_BLOWUP, EXIT_BLOWUP]
+    assert all("step size collapsed" in s["error"] for s in summary)
+
+
+def test_simulate_negative_eps_reg_exits_usage(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG + "eps_reg = -1e-3\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert "eps_reg" in capsys.readouterr().err
+    assert not (out / "metadata.json").exists()
+
+
+SINUSOIDAL_CFG = """
+p = 2.4
+q = 1.0
+dim_n = 2
+grid_n = [10, 12]
+domain_lengths = [1.0, 1.5]
+coefficient = "sinusoidal"
+alpha = 0.5
+lambda_upper = 2.0
+initial_kind = "bump"
+t_end = 5e-3
+k_levels = [0.2]
+verify_linf_contraction = true
+verify_gk_contraction = true
+"""
+
+
+def test_simulate_sinusoidal_coefficient(tmp_path, capsys):
+    for stepper in ("explicit", "imex"):
+        cfg = write_cfg(tmp_path, SINUSOIDAL_CFG + f'stepper = "{stepper}"\n')
+        out = tmp_path / stepper
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["run"]["blow_up_time"] is None
+        assert json.loads((out / "verification.json").read_text())["passed"] is True
+
+
+def test_simulate_coefficient_outside_the_bounds_exits_usage(tmp_path, capsys):
+    # the identity coefficient is 1, below alpha = 1.5
+    cfg = write_cfg(tmp_path, BASE_CFG + "alpha = 1.5\nlambda_upper = 2.0\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert "ellipticity bounds" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
+
+
 def test_simulate_zero_datum_vacuous(tmp_path, capsys):
     cfg_text = BASE_CFG.replace('initial_kind = "eigenfunction"', 'initial_kind = "zero"') + (
         'envelope_targets = [{"name": "env", "label": "linf", "m": 1.0}]\n'

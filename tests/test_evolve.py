@@ -127,6 +127,19 @@ def test_stable_dt_zero_field_and_source_cap():
     assert dt < 0.002  # the source cap binds here
 
 
+def test_stable_dt_reads_the_face_coefficient():
+    # the CFL bound scales with max A(t) D on the faces, not with ProblemParams
+    g = Grid((9,), (1.0,))
+    fld = ScalarField(g, np.sin(math.pi * g.axis_nodes(0)))
+    wide = ProblemParams(p=2.0, q=1.0, dim_n=3, alpha=0.5, lambda_upper=10.0)
+    three = CoefficientField(kind="scalar", fn=lambda t, x: 3.0 + 0.0 * x)
+    assert stable_dt(fld, wide, three) == pytest.approx(0.002 / 3.0, rel=1e-12)
+    assert stable_dt(fld, wide) == pytest.approx(0.002, rel=1e-12)
+    # a time-dependent coefficient is read at t
+    ramp = CoefficientField(kind="scalar", fn=lambda t, x: 1.0 + t + 0.0 * x)
+    assert stable_dt(fld, wide, ramp, t=1.0) == pytest.approx(0.001, rel=1e-12)
+
+
 def test_step_explicit_single_node_frozen():
     # one interior node, h = 1/2: div = -8 u, so one step gives u (1 - 8 dt)
     g = Grid((1,), (1.0,))
@@ -285,16 +298,10 @@ def _dense_from_upper_band(ab: np.ndarray) -> np.ndarray:
 COEFFICIENTS = {
     "identity": CoefficientField.identity(),
     "scalar": CoefficientField(
-        kind="scalar",
-        fn=lambda t, *xs: 1.0 + 0.5 * np.sin(3.0 * xs[0] + 1.0) ** 2,
-        alpha=1.0,
-        lambda_upper=1.5,
+        kind="scalar", fn=lambda t, *xs: 1.0 + 0.5 * np.sin(3.0 * xs[0] + 1.0) ** 2
     ),
     "diagonal": CoefficientField(
-        kind="diagonal",
-        fn=lambda t, axis, *xs: (1.0 + axis) * (1.0 + 0.25 * np.cos(2.0 * xs[-1])),
-        alpha=0.75,
-        lambda_upper=2.5,
+        kind="diagonal", fn=lambda t, axis, *xs: (1.0 + axis) * (1.0 + 0.25 * np.cos(2.0 * xs[-1]))
     ),
 }
 
@@ -430,6 +437,36 @@ def test_step_imex_maximum_principle_property(p, shape, kind, seed, dt):
     assert float(new.values.min()) >= -slack
 
 
+COEFFICIENT_BOUNDS = {"identity": (1.0, 1.0), "scalar": (1.0, 1.5), "diagonal": (0.75, 2.5)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(1.2, 6.0),
+    shape=_SHAPES,
+    kind=st.sampled_from(["bump", "random_positive"]),
+    coeff_kind=st.sampled_from(sorted(COEFFICIENTS)),
+    seed=st.integers(0, 2**16),
+)
+def test_step_explicit_maximum_principle_property(p, shape, kind, coeff_kind, seed):
+    # gamma = 0: steps at the stable dt keep 0 <= u and never raise the sup norm
+    alpha, lam = COEFFICIENT_BOUNDS[coeff_kind]
+    params = ProblemParams(p=p, q=1.0, dim_n=3, alpha=alpha, lambda_upper=lam)
+    coeff = COEFFICIENTS[coeff_kind]
+    grid = Grid(shape, (1.0,) * len(shape))
+    u = make_initial(InitialSpec(kind=kind), grid, params, seed)
+    eps = evolve.DEFAULT_EPS_DEGENERATE if p >= 2.0 else evolve.DEFAULT_EPS_SINGULAR
+    t = 0.0
+    for _ in range(5):
+        dt = stable_dt(u, params, coeff, eps, t)
+        if math.isinf(dt):
+            return  # a zero field stays zero
+        new = step_explicit(u, dt, params, coeff, eps, t)
+        assert float(new.values.max()) <= float(u.values.max())
+        assert float(new.values.min()) >= 0.0
+        u, t = new, t + dt
+
+
 # ---------------------------------------------------------------------------
 # the scenario runner
 
@@ -445,6 +482,9 @@ def test_scenario_validation():
         _scenario(r_list=(0.5,))
     with pytest.raises(ValueError):
         _scenario(sample_ratio=1.0)
+    with pytest.raises(ValueError, match="eps_reg"):
+        _scenario(eps_reg=-1e-3)
+    assert _scenario(eps_reg=0.0).eps_resolved == 0.0
 
 
 def test_scenario_resolved_properties():
@@ -560,6 +600,65 @@ def test_run_blow_up_detection():
     assert res.blow_up_time is not None
     assert res.extinction_time is None
     assert float(res.series.column("linf")[-1]) < math.inf
+
+
+def _heat_with_coefficient(value: float, params: ProblemParams) -> Scenario:
+    return _scenario(
+        params=params,
+        grid=Grid((64,), (1.0,)),
+        initial=InitialSpec(kind="random_positive"),
+        coefficient=CoefficientField(kind="scalar", fn=lambda t, x: value + 0.0 * x),
+        t_end=0.05,
+    )
+
+
+def test_run_coefficient_inside_the_bounds_is_stable():
+    # a heat problem cannot blow up; the CFL bound must follow the coefficient
+    res = run(_heat_with_coefficient(3.0, ProblemParams(p=2.0, q=1.0, dim_n=3, lambda_upper=3.0)))
+    assert res.blow_up_time is None
+    linf = res.series.column("linf")
+    assert np.all(np.diff(linf) <= 0.0)
+    assert res.series.times[-1] == 0.05
+
+
+@pytest.mark.parametrize("value, params", [
+    (3.0, P_HEAT),  # the coefficient exceeds the default lambda_upper = 1
+    (5.0, ProblemParams(p=2.0, q=1.0, dim_n=3, alpha=1.0, lambda_upper=1.0)),
+    (0.2, ProblemParams(p=2.0, q=1.0, dim_n=3, alpha=0.5, lambda_upper=1.5)),
+])
+def test_run_rejects_a_coefficient_outside_the_bounds(value, params, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the bounds check")
+
+    monkeypatch.setattr(evolve, "_explicit_step", no_step)
+    with pytest.raises(ValueError, match="ellipticity bounds"):
+        run(_heat_with_coefficient(value, params))
+
+
+def test_run_checks_the_bounds_at_every_sample_time():
+    # identity coefficient 1 outside [alpha, lambda_upper]
+    with pytest.raises(ValueError, match="ellipticity bounds"):
+        run(_scenario(params=ProblemParams(p=2.0, q=1.0, dim_n=3, alpha=1.5, lambda_upper=2.0)))
+    # in bounds at t = 0, above lambda_upper = 1.005 from t = 0.005 on
+    ramp = CoefficientField(kind="scalar", fn=lambda t, x: 1.0 + t + 0.0 * x)
+    params = ProblemParams(p=2.0, q=1.0, dim_n=3, lambda_upper=1.005)
+    with pytest.raises(ValueError, match="ellipticity bounds"):
+        run(_scenario(params=params, coefficient=ramp, t_end=0.01))
+    assert run(_scenario(params=params, coefficient=ramp, t_end=0.004)).blow_up_time is None
+    diag = CoefficientField(kind="diagonal", fn=lambda t, axis, x, y: (1.0 + axis) + 0.0 * x)
+    grid = Grid((6, 6), (1.0, 1.0))
+    with pytest.raises(ValueError, match="ellipticity bounds"):
+        run(_scenario(grid=grid, coefficient=diag, params=P_HEAT))
+    ok = ProblemParams(p=2.0, q=1.0, dim_n=3, alpha=1.0, lambda_upper=2.0)
+    assert run(_scenario(grid=grid, coefficient=diag, params=ok)).blow_up_time is None
+
+
+def test_run_step_size_collapse_is_a_stepping_failure():
+    # p < 2 with eps_reg = 0: a flat face has infinite mobility, so the stable dt is 0
+    params = ProblemParams(p=1.5, q=1.0, dim_n=3)
+    s = _scenario(params=params, initial=InitialSpec(kind="bump", radius=0.3), eps_reg=0.0)
+    with pytest.raises(NonConvergenceError, match="step size collapsed"):
+        run(s)
 
 
 def test_overflow_exception_payload():

@@ -141,9 +141,7 @@ def test_divergence_matches_reference_loop():
 
 def test_divergence_with_scalar_coefficient_matches_reference():
     a_fn = lambda x: 2.0 + np.sin(3.0 * x)
-    coeff = CoefficientField(
-        kind="scalar", fn=lambda t, x: a_fn(x), alpha=1.0, lambda_upper=3.0
-    )
+    coeff = CoefficientField(kind="scalar", fn=lambda t, x: a_fn(x))
     g = Grid((9,), (2.0,))
     rng = np.random.default_rng(6)
     v = rng.normal(size=9)
@@ -243,30 +241,21 @@ def test_coefficient_fields():
     g = Grid((4, 3), (1.0, 1.0))
     assert IDENT.face_values(g, 0, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        CoefficientField(alpha=1.5, lambda_upper=2.0)  # identity value 1 < alpha
+        CoefficientField(kind="scalar")  # no callable
+    with pytest.raises(ValueError):
+        CoefficientField(kind="tensor", fn=lambda t, x, y: x)
 
-    coeff = CoefficientField(
-        kind="scalar",
-        fn=lambda t, x, y: 1.0 + 0.5 * np.sin(x + y + t),
-        alpha=0.5,
-        lambda_upper=1.5,
-    )
+    coeff = CoefficientField(kind="scalar", fn=lambda t, x, y: 1.0 + 0.5 * np.sin(x + y + t))
     fx = coeff.face_values(g, 0, 0.3)
     fy = coeff.face_values(g, 1, 0.3)
     assert fx.shape == (5, 3) and fy.shape == (4, 4)
-    assert coeff.bounds_violation(g, [0.0, 0.3, 1.0]) == pytest.approx(0.0, abs=1e-12)
+    xs, ys = g.face_centers(1)
+    assert np.allclose(fy, 1.0 + 0.5 * np.sin(xs + ys + 0.3))
+    # a constant from fn broadcasts to the face shape
+    const = CoefficientField(kind="scalar", fn=lambda t, x, y: 0.2)
+    assert const.face_values(g, 0, 0.0).shape == (5, 3)
 
-    bad = CoefficientField(
-        kind="scalar", fn=lambda t, x, y: 0.2 + 0.0 * x, alpha=0.5, lambda_upper=1.5
-    )
-    assert bad.bounds_violation(g, [0.0]) == pytest.approx(0.3, abs=1e-9)
-
-    diag = CoefficientField(
-        kind="diagonal",
-        fn=lambda t, axis, x, y: (1.0 + axis) + 0.0 * x,
-        alpha=1.0,
-        lambda_upper=2.0,
-    )
+    diag = CoefficientField(kind="diagonal", fn=lambda t, axis, x, y: (1.0 + axis) + 0.0 * x)
     assert np.allclose(diag.face_values(g, 0, 0.0), 1.0)
     assert np.allclose(diag.face_values(g, 1, 0.0), 2.0)
 
@@ -277,10 +266,7 @@ def test_anisotropic_diagonal_divergence():
     mx, my = g.node_mesh()
     u = mx * (1.0 - mx) * my * (1.0 - my)
     diag = CoefficientField(
-        kind="diagonal",
-        fn=lambda t, axis, x, y: (2.0 if axis == 0 else 3.0) + 0.0 * x,
-        alpha=1.0,
-        lambda_upper=3.0,
+        kind="diagonal", fn=lambda t, axis, x, y: (2.0 if axis == 0 else 3.0) + 0.0 * x
     )
     div = p_flux_divergence(ScalarField(g, u), diag, 2.0, 0.0)
     exact = 2.0 * (-2.0 * my * (1.0 - my)) + 3.0 * (-2.0 * mx * (1.0 - mx))

@@ -8,8 +8,9 @@ Subcommands
     sweep      grid of (p, q, gamma) simulate runs with a summary table
 
 Config files are flat "key = value" lines; values are JSON literals, '#'
-starts a comment, unknown keys are rejected.  The output directory comes from
---out, else the config's out_dir, else $DECAYLAB_OUT, else ./decaylab_out.
+starts a comment, unknown keys are rejected, and the verification targets are
+validated before any stepping.  The output directory comes from --out, else
+the config's out_dir, else $DECAYLAB_OUT, else ./decaylab_out.
 
 Exit codes: 0 pass, 2 usage or domain error (bad flags, bad config, regime
 out of range, schema mismatch), 3 verification failure, 4 blow-up or stepping
@@ -19,8 +20,6 @@ failure, 5 IO error.  All file writes are atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -39,17 +38,8 @@ from .evolve import (
     run,
 )
 from .field import Grid, write_field_csv
-from .fileio import atomic_write_text, fmt_float
-from .metrics import (
-    DegenerateWindowError,
-    InsufficientDataError,
-    NormSeries,
-    calibrate_decay_rate,
-    check_envelope,
-    fit_exponential_decay,
-    fit_power_decay,
-    gronwall_envelope,
-)
+from .fileio import atomic_write_text
+from .metrics import NormSeries
 from .regime import (
     ProblemParams,
     Regime,
@@ -57,6 +47,7 @@ from .regime import (
     decay_prediction,
     delta_threshold,
 )
+from .verify import VerificationSpec, run_verification  # a global here: perfbench/traced.py wraps it
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -149,9 +140,6 @@ def load_config(path) -> dict:
 
 
 def build_params(cfg: dict) -> ProblemParams:
-    for key in ("p", "q", "dim_n"):
-        if cfg.get(key) is None:
-            raise ValueError(f"config is missing required key {key!r}")
     measure = float(np.prod(build_grid(cfg).lengths))
     return ProblemParams(
         p=float(cfg["p"]),
@@ -248,179 +236,13 @@ def _dump_json(obj) -> str:
     return json.dumps(_scrub(obj), indent=2, sort_keys=True) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# verification engine
-
-
-def _fit_check(series: NormSeries, spec: dict) -> tuple:
-    allowed = {"name", "label", "kind", "window", "expected", "rtol", "min_slope", "max_slope", "floor"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ValueError(f"fit target has unknown keys {sorted(unknown)}")
-    for key in ("name", "label", "kind", "window"):
-        if key not in spec:
-            raise ValueError(f"fit target is missing {key!r}")
-    label, kind = spec["label"], spec["kind"]
-    check = {"name": spec["name"], "kind": f"fit_{kind}", "label": label, "passed": True, "vacuous": False}
-    values = series.column(label)
-    if not np.any(values > 0.0):
-        check["vacuous"] = True
-        check["reason"] = "series column identically zero"
-        return check, None
-    floor = float(spec.get("floor", 0.0))
-    try:
-        if kind == "power":
-            fit = fit_power_decay(series, label, spec["window"], floor=floor)
-            measured = fit.slope
-        elif kind == "exponential":
-            fit = fit_exponential_decay(series, label, spec["window"], floor=floor)
-            measured = fit.rate
-        else:
-            raise ValueError(f"unknown fit kind {kind!r}")
-    except (InsufficientDataError, DegenerateWindowError) as exc:
-        check["passed"] = False
-        check["reason"] = str(exc)
-        return check, None
-    check["fit"] = fit.to_dict()
-    check["measured"] = measured
-    if spec.get("expected") is not None:
-        expected = float(spec["expected"])
-        rtol = float(spec.get("rtol", 0.05))
-        check["expected"] = expected
-        check["rtol"] = rtol
-        if not abs(measured - expected) <= rtol * abs(expected):
-            check["passed"] = False
-    if spec.get("min_slope") is not None and not fit.slope >= float(spec["min_slope"]):
-        check["passed"] = False
-    if spec.get("max_slope") is not None and not fit.slope <= float(spec["max_slope"]):
-        check["passed"] = False
-    lo, hi = float(spec["window"][0]), float(spec["window"][1])
-    mask = (series.times >= lo) & (series.times <= hi) & (series.times > 0.0)
-    t_sel = series.times[mask]
-    if fit.kind == "power":
-        fitted = np.exp(fit.intercept) * t_sel**fit.slope
+def _print_payload(payload: dict, as_json: bool) -> None:
+    """Print payload as JSON or as one `key = value` line per entry."""
+    if as_json:
+        print(_dump_json(payload), end="")
     else:
-        fitted = np.exp(fit.intercept + fit.slope * t_sel)
-    plot = ("t,value,fitted", t_sel, values[mask], fitted)
-    return check, plot
-
-
-def _envelope_check(series: NormSeries, spec: dict) -> tuple:
-    allowed = {"name", "label", "m", "slack", "rate", "y0", "window", "atol"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ValueError(f"envelope target has unknown keys {sorted(unknown)}")
-    for key in ("name", "label", "m"):
-        if key not in spec:
-            raise ValueError(f"envelope target is missing {key!r}")
-    label = spec["label"]
-    m = float(spec["m"])
-    slack = float(spec.get("slack", 1.5))
-    check = {"name": spec["name"], "kind": "envelope", "label": label, "passed": True, "vacuous": False}
-    values = series.column(label)
-    if not np.any(values > 0.0):
-        check["vacuous"] = True
-        check["reason"] = "series column identically zero"
-        return check, None
-    y0 = float(spec["y0"]) if spec.get("y0") is not None else float(values[0])
-    rate = spec.get("rate")
-    if rate is None:
-        try:
-            rate = calibrate_decay_rate(series, label, m)
-        except InsufficientDataError as exc:
-            check["passed"] = False
-            check["reason"] = str(exc)
-            return check, None
-        check["calibrated"] = True
-    rate = float(rate)
-    check["rate"] = rate
-    check["m"] = m
-    check["slack"] = slack
-    check["y0"] = y0
-    if rate <= 0.0:
-        check["passed"] = False
-        check["reason"] = "nonpositive decay rate"
-        return check, None
-    bound = lambda ts: gronwall_envelope(y0, rate, m, ts)
-    report = check_envelope(
-        series, label, bound, slack=slack, window=spec.get("window"), atol=float(spec.get("atol", 0.0))
-    )
-    check["passed"] = report.passed
-    check["n_checked"] = report.n_checked
-    check["violations"] = [list(v) for v in report.violations[:20]]
-    t = series.times
-    plot = ("t,value,envelope", t, values, np.asarray(bound(t), dtype=float) * slack)
-    return check, plot
-
-
-def run_verification(cfg: dict, series: NormSeries, sigma_eff: float) -> tuple:
-    """All configured checks against a (possibly re-read) series.
-
-    Returns (report dict, plots list); deterministic given config + series.
-    """
-    checks = []
-    plots = []
-    linf = series.column("linf")
-    if cfg["verify_linf_contraction"]:
-        tol = 1e-8 * float(linf[0])
-        diffs = np.diff(linf)
-        bad = np.where(diffs > tol)[0]
-        checks.append(
-            {
-                "name": "linf_contraction",
-                "kind": "contraction",
-                "label": "linf",
-                "passed": bad.size == 0,
-                "vacuous": float(linf[0]) == 0.0,
-                "per_step_tol": tol,
-                "n_violations": int(bad.size),
-                "worst_rise": float(diffs.max(initial=-np.inf)) if diffs.size else 0.0,
-            }
-        )
-    if cfg["verify_gk_contraction"]:
-        gk_labels = [lab for lab in series.labels if lab.startswith("gk") and lab.endswith("_lsigma")]
-        for lab in gk_labels:
-            vals = series.column(lab) ** sigma_eff
-            ceiling = vals[0] * (1.0 + 1e-6)
-            bad = np.where(vals > ceiling)[0]
-            checks.append(
-                {
-                    "name": f"{lab}_contraction",
-                    "kind": "contraction",
-                    "label": lab,
-                    "passed": bad.size == 0,
-                    "vacuous": float(vals[0]) == 0.0 and not np.any(vals > 0.0),
-                    "rel_tol": 1e-6,
-                    "n_violations": int(bad.size),
-                }
-            )
-    for spec in cfg["fit_targets"]:
-        check, plot = _fit_check(series, spec)
-        checks.append(check)
-        if plot is not None:
-            plots.append((spec["name"], plot))
-    for spec in cfg["envelope_targets"]:
-        check, plot = _envelope_check(series, spec)
-        checks.append(check)
-        if plot is not None:
-            plots.append((spec["name"], plot))
-    report = {
-        "passed": all(c["passed"] for c in checks),
-        "vacuous": bool(checks) and all(c.get("vacuous", False) for c in checks),
-        "n_checks": len(checks),
-        "sigma_eff": sigma_eff,
-        "checks": checks,
-    }
-    return report, plots
-
-
-def _write_plot_csv(path, header: str, *cols) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header.split(","))
-    for row in zip(*cols):
-        writer.writerow([fmt_float(x) for x in row])
-    atomic_write_text(path, buf.getvalue())
+        for key, value in payload.items():
+            print(f"{key} = {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +250,13 @@ def _write_plot_csv(path, header: str, *cols) -> None:
 
 
 def _resolve_out_dir(flag_value, cfg) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    if cfg.get("out_dir"):
-        return Path(cfg["out_dir"])
-    env = os.environ.get("DECAYLAB_OUT")
-    if env:
-        return Path(env)
-    return Path("decaylab_out")
+    return Path(flag_value or cfg.get("out_dir") or os.environ.get("DECAYLAB_OUT") or "decaylab_out")
 
 
 def simulate_to_dir(cfg: dict, out_dir: Path, seed_override=None) -> tuple:
     """Run one scenario, write all artifacts, return (exit_code, summary)."""
     scenario = build_scenario(cfg, seed_override)
+    checks = VerificationSpec.from_config(cfg)
     report_regime = classify(scenario.params)
     result = run(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -450,8 +266,7 @@ def simulate_to_dir(cfg: dict, out_dir: Path, seed_override=None) -> tuple:
     for ts, snap in result.snapshots:
         write_field_csv(snap, out_dir / f"snapshot_t{ts:g}.csv")
 
-    effective_cfg = dict(cfg)
-    effective_cfg["seed"] = scenario.seed
+    effective_cfg = {**cfg, "seed": scenario.seed}
     atomic_write_text(out_dir / "config.txt", serialize_config(effective_cfg))
 
     metadata = {
@@ -474,10 +289,11 @@ def simulate_to_dir(cfg: dict, out_dir: Path, seed_override=None) -> tuple:
 
     # verification runs on the re-read CSV so `verify` reproduces it bit for bit
     series_rt = NormSeries.from_csv(series_path)
-    report, plots = run_verification(cfg, series_rt, result.metadata["sigma_eff"])
+    report, plots = run_verification(checks, series_rt, result.metadata["sigma_eff"])
     atomic_write_text(out_dir / "verification.json", _dump_json(report))
-    for name, (header, *cols) in plots:
-        _write_plot_csv(out_dir / f"plot_{name}.csv", header, *cols)
+    for name, plot in plots:
+        # not write_csv: perfbench/traced.py times those calls as series writes
+        atomic_write_text(out_dir / f"plot_{name}.csv", plot.to_csv_text())
 
     if result.blow_up_time is not None:
         code = EXIT_BLOWUP
@@ -504,8 +320,7 @@ def simulate_to_dir(cfg: dict, out_dir: Path, seed_override=None) -> tuple:
 def _sweep_worker(task):
     cfg, out_dir = task
     try:
-        code, summary = simulate_to_dir(cfg, Path(out_dir))
-        return summary
+        return simulate_to_dir(cfg, Path(out_dir))[1]
     except (ValueError, KeyError, TypeError) as exc:
         return {"out_dir": out_dir, "exit_code": EXIT_USAGE, "error": str(exc)}
     except NonConvergenceError as exc:
@@ -524,11 +339,7 @@ def cmd_classify(args) -> int:
     )
     report = classify(params, data_nu=args.nu, critical_omega=args.omega)
     payload = report.to_dict()
-    if args.json:
-        print(_dump_json(payload), end="")
-    else:
-        for key, value in payload.items():
-            print(f"{key} = {value}")
+    _print_payload(payload, args.json)
     return EXIT_USAGE if report.regime is Regime.OUT_OF_RANGE else EXIT_OK
 
 
@@ -568,11 +379,7 @@ def cmd_predict(args) -> int:
     payload["smallness_used"] = smallness
     payload["norm_rate"] = pred.norm_rate
     payload["norm_m"] = pred.norm_m
-    if args.json:
-        print(_dump_json(payload), end="")
-    else:
-        for key, value in payload.items():
-            print(f"{key} = {value}")
+    _print_payload(payload, args.json)
     return EXIT_OK
 
 
@@ -580,19 +387,16 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out_dir = _resolve_out_dir(args.out, cfg)
     code, summary = simulate_to_dir(cfg, out_dir, seed_override=args.seed)
-    if args.json:
-        print(_dump_json(summary), end="")
-    else:
-        for key, value in summary.items():
-            print(f"{key} = {value}")
+    _print_payload(summary, args.json)
     return code
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     scenario = build_scenario(cfg)
+    checks = VerificationSpec.from_config(cfg)
     series = NormSeries.from_csv(args.series)
-    report, _ = run_verification(cfg, series, scenario.sigma_resolved)
+    report, _ = run_verification(checks, series, scenario.sigma_resolved)
     text = _dump_json(report)
     if args.json:
         print(text, end="")

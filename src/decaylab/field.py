@@ -97,9 +97,6 @@ class ScalarField:
             raise ValueError("field values must be finite")
         self.values = vals
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -234,13 +231,6 @@ def gradient_magnitude(fld: ScalarField) -> ScalarField:
     """Nodal |grad u|: per-axis average of the two adjacent face gradients."""
     comps = _face_components(fld.values, fld.grid.spacing)
     return ScalarField(fld.grid, _nodal_magnitude_from(comps))
-
-
-def gradient_magnitude_q(fld: ScalarField, q: float) -> ScalarField:
-    """Nodal source factor |grad u|^q."""
-    if q <= 0.0:
-        raise ValueError(f"source exponent must be > 0, got {q}")
-    return ScalarField(fld.grid, gradient_magnitude(fld).values ** q)
 
 
 def write_field_csv(fld: ScalarField, path) -> None:

@@ -1,9 +1,8 @@
 """Norms, level truncations, decay envelopes, fits and envelope checks.
 
-This is the verification toolkit: everything needed to turn a recorded norm
-series into pass/fail evidence against the closed-form predictions.  It is
-deliberately independent of the evolution code so that checks can be re-run
-from CSV files alone.
+These are the pieces `decaylab.verify` assembles into pass/fail evidence
+against the closed-form predictions.  They are deliberately independent of
+the evolution code so that checks can be re-run from CSV files alone.
 """
 
 from __future__ import annotations
@@ -54,13 +53,8 @@ def truncate_excess(z, k: float):
     return level_split(z, k)[0]
 
 
-def truncate_capped(z, k: float):
-    """z capped at level k (exact complement of truncate_excess)."""
-    return level_split(z, k)[1]
-
-
 # ---------------------------------------------------------------------------
-# norms and distribution tails
+# norms
 
 
 def _values_and_weight(fld, weight: Optional[float]):
@@ -79,35 +73,6 @@ def lr_norm(fld, r: float, weight: Optional[float] = None) -> float:
     if r < 1.0:
         raise ValueError(f"norm order must be >= 1, got {r}")
     return float(np.sum(np.abs(values) ** r) * w) ** (1.0 / r)
-
-
-def distribution_tail(fld, level: float, weight: Optional[float] = None) -> float:
-    """Measure of {|u| > level}."""
-    if level < 0.0:
-        raise ValueError("level must be >= 0")
-    values, w = _values_and_weight(fld, weight)
-    return float(np.count_nonzero(np.abs(values) > level)) * w
-
-
-def marcinkiewicz_quasinorm(
-    fld, exponent: float, weight: Optional[float] = None, n_levels: int = 50
-) -> float:
-    """sup of s * measure{|u| > s}^(1/exponent) over a geometric level sweep.
-
-    Levels run from 1e-3 * max|u| to max|u|; a zero field gives 0.
-    """
-    if exponent <= 0.0:
-        raise ValueError("exponent must be > 0")
-    values, w = _values_and_weight(fld, weight)
-    top = float(np.max(np.abs(values), initial=0.0))
-    if top == 0.0:
-        return 0.0
-    levels = np.geomspace(1e-3 * top, top, n_levels)
-    best = 0.0
-    for s in levels:
-        tail = float(np.count_nonzero(np.abs(values) > s)) * w
-        best = max(best, s * tail ** (1.0 / exponent))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +296,6 @@ class EnvelopeReport:
     n_checked: int
     vacuous: bool
     violations: list = dc_field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "n_checked": self.n_checked,
-            "vacuous": self.vacuous,
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 def check_envelope(

@@ -296,32 +296,6 @@ def universal_sup_exponent(p: float) -> float:
     return 1.0 / (p - 2.0)
 
 
-def coercive_decay_exponents(p: float, nu: float, r: float, dim_n: int) -> tuple:
-    """(data_exponent, time_exponent) of the source-free smoothing estimate
-
-        ||u(t)||_r <= C * ||u0||_nu^data_exponent / t^time_exponent
-
-    for data in L^nu, nu >= 1, r in [nu, inf].  This is the coercive baseline
-    the gradient-source results are measured against.
-    """
-    n = float(dim_n)
-    if nu < 1.0:
-        raise ValueError(f"need nu >= 1, got {nu}")
-    if not 1.0 < p < n:
-        raise ValueError(f"need 1 < p < N, got p={p}, N={dim_n}")
-    denom0 = 2.0 * n - p * (n + nu)
-    if denom0 >= 0.0:
-        raise ValueError(f"need p > 2N/(N+nu) = {2.0 * n / (n + nu)}, got {p}")
-    if math.isinf(r):
-        d = p * (n + nu) - 2.0 * n
-        return (p * nu / d, n / d)
-    if r < nu:
-        raise ValueError(f"need r >= nu, got r={r} < nu={nu}")
-    h0 = nu * (2.0 * n - p * (n + r)) / (r * denom0)
-    h1 = n * (nu - r) / (r * denom0)
-    return (h0, h1)
-
-
 def regularizing_exponents(p: float, sigma: float, r: float, dim_n: int) -> tuple:
     """(data_exponent, time_exponent) of the smoothing bound on truncations:
 
@@ -336,66 +310,6 @@ def regularizing_exponents(p: float, sigma: float, r: float, dim_n: int) -> tupl
     if d <= 0.0:
         raise ValueError(f"need N(p-2) + p*sigma > 0, got {d}")
     return (sigma * (n * (p - 2.0) + p * r) / d, n * (r - sigma) / d)
-
-
-def regularizing_bound(
-    p: float, sigma: float, r: float, dim_n: int, g0: float, t: float, c: float = 1.0
-) -> float:
-    """Evaluate the smoothing bound of regularizing_exponents at time t > 0."""
-    if t <= 0.0:
-        raise ValueError("regularizing bound needs t > 0")
-    if g0 < 0.0:
-        raise ValueError("g0 must be >= 0")
-    de, te = regularizing_exponents(p, sigma, r, dim_n)
-    return c * g0**de / t**te
-
-
-def regularizing_omega(p: float, sigma: float, r: float, dim_n: int) -> float:
-    """Interpolation weight (r-sigma)(N-p) / (N(r-sigma+p-2) + p*sigma)."""
-    n = float(dim_n)
-    if not r > sigma:
-        raise ValueError(f"need r > sigma, got r={r}, sigma={sigma}")
-    return (r - sigma) * (n - p) / (n * (r - sigma + p - 2.0) + p * sigma)
-
-
-@dataclass(frozen=True)
-class L1RegimeExponents:
-    """Exponent bundle of the L^1-data range.
-
-    b: excess exponent of the gradient estimate ((p-q)(N+1)/N - 1)
-    gn_exponent: product exponent p(N + p/(p-1-b))/N of the interpolation step
-    weak_u_exponent: weak-space exponent (p(N+1)-N)/N of the solution
-    weak_gradient_exponent: weak-space exponent (p(N+1)-N)/(N+1) of its gradient
-    """
-
-    b: float
-    gn_exponent: float
-    weak_u_exponent: float
-    weak_gradient_exponent: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def l1_regime_exponents(p: float, q: float, dim_n: int) -> L1RegimeExponents:
-    """Exponents of the L^1-data theory; rejects (p, q) outside that range."""
-    n = float(dim_n)
-    thr = regime_thresholds(p, dim_n)
-    if not thr.p_l1_lower < p < n:
-        raise ValueError(
-            f"L1 range needs {thr.p_l1_lower} < p < {dim_n}, got p={p}"
-        )
-    if not thr.q_lower < q < thr.q_l1:
-        raise ValueError(
-            f"L1 range needs {thr.q_lower} < q < {thr.q_l1}, got q={q}"
-        )
-    b = (p - q) * (n + 1.0) / n - 1.0
-    return L1RegimeExponents(
-        b=b,
-        gn_exponent=p * (n + p / (p - 1.0 - b)) / n,
-        weak_u_exponent=(p * (n + 1.0) - n) / n,
-        weak_gradient_exponent=(p * (n + 1.0) - n) / (n + 1.0),
-    )
 
 
 @dataclass(frozen=True)

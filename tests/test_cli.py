@@ -426,3 +426,58 @@ def test_sweep_propagates_failure_code(tmp_path, capsys):
     out = tmp_path / "sw"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VERIFICATION
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# verification targets are validated before stepping
+
+
+IMEX_CFG = """
+p = 1.8
+q = 1.0
+dim_n = 2
+grid_n = [16, 16]
+initial_kind = "bump"
+t_end = 0.05
+dt_init = 2e-3
+stepper = "imex"
+"""
+
+POWR_FIT = (
+    'fit_targets = [{"name": "typo", "label": "linf", "kind": "powr", "window": [1e-3, 0.05]}]\n'
+)
+
+
+def test_simulate_malformed_target_exits_before_stepping(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, IMEX_CFG + POWR_FIT)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert not (out / "series.csv").exists()
+    assert not (out / "metadata.json").exists()
+    err = capsys.readouterr().err
+    assert "'typo'" in err and "powr" in err
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        POWR_FIT,
+        'envelope_targets = [{"name": "neg", "label": "linf", "m": 1.0, "slack": -3}]\n',
+    ],
+    ids=["fit_kind", "envelope_slack"],
+)
+def test_bad_target_on_a_zero_datum_is_not_vacuous(tmp_path, capsys, target):
+    # an all-zero column once let any target pass as vacuous
+    zero = BASE_CFG.replace('initial_kind = "eigenfunction"', 'initial_kind = "zero"')
+    cfg = write_cfg(tmp_path, zero + target)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    capsys.readouterr()
+    assert not (out / "verification.json").exists()
+
+
+def test_verify_rejects_a_malformed_target_before_reading_the_series(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG + POWR_FIT)
+    missing = tmp_path / "nope.csv"
+    assert main(["verify", "--config", cfg, "--series", str(missing)]) == EXIT_USAGE
+    assert "powr" in capsys.readouterr().err

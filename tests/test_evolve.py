@@ -582,7 +582,7 @@ def test_run_source_amplifies_pointwise():
     # identical fixed-dt trajectories: adding the source can only increase u
     g = Grid((13,), (1.0,))
     u_plain = make_initial(InitialSpec(kind="eigenfunction"), g)
-    u_source = u_plain.copy()
+    u_source = make_initial(InitialSpec(kind="eigenfunction"), g)
     plain = ProblemParams(p=2.0, q=1.5, dim_n=3, gamma=0.0)
     source = ProblemParams(p=2.0, q=1.5, dim_n=3, gamma=0.5)
     dt = 1e-4

@@ -11,15 +11,12 @@ from decaylab.metrics import (
     NormSeries,
     calibrate_decay_rate,
     check_envelope,
-    distribution_tail,
     envelope_extinction_time,
     fit_exponential_decay,
     fit_power_decay,
     gronwall_envelope,
     level_split,
     lr_norm,
-    marcinkiewicz_quasinorm,
-    truncate_capped,
     truncate_excess,
     truncation_level_for,
 )
@@ -30,7 +27,6 @@ def test_level_split_hand_values():
     assert np.array_equal(ex, [3.0, -3.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(cap, [2.0, -2.0, 1.5, -1.5, 2.0, 0.0])
     assert np.array_equal(truncate_excess([5.0], 2.0), [3.0])
-    assert np.array_equal(truncate_capped([5.0], 2.0), [2.0])
     with pytest.raises(ValueError):
         level_split([1.0], -1.0)
     with pytest.raises(ValueError):
@@ -81,33 +77,6 @@ def test_lr_norm_frozen_values():
         lr_norm(np.array([1.0]), 0.5, weight=1.0)
     with pytest.raises(ValueError):
         lr_norm(np.array([1.0]), 2.0)  # raw array needs a weight
-
-
-def test_distribution_tail():
-    vals = np.array([3.0, -1.0, 0.5])
-    assert distribution_tail(vals, 0.9, weight=0.5) == pytest.approx(1.0)
-    assert distribution_tail(vals, 3.0, weight=0.5) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        distribution_tail(vals, -0.1, weight=0.5)
-
-
-def test_marcinkiewicz_quasinorm():
-    assert marcinkiewicz_quasinorm(np.zeros(5), 2.0, weight=1.0) == 0.0
-    vals = np.array([2.0, 0.5, 1.0])
-    m1 = marcinkiewicz_quasinorm(vals, 1.5, weight=0.25)
-    # positive homogeneity is exact because the level grid scales with max|u|
-    m2 = marcinkiewicz_quasinorm(2.0 * vals, 1.5, weight=0.25)
-    assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
-    # constant field: sup attained at the largest level strictly below the value
-    c, w, n = 3.0, 0.5, 4
-    expected_levels = np.geomspace(1e-3 * c, c, 50)
-    expected = max(
-        s * (n * w) ** (1.0 / 2.0) for s in expected_levels if s < c
-    )
-    got = marcinkiewicz_quasinorm(np.full(n, c), 2.0, weight=w)
-    assert got == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        marcinkiewicz_quasinorm(vals, 0.0, weight=1.0)
 
 
 def test_norm_series_basics():

@@ -9,16 +9,12 @@ from decaylab.regime import (
     Regime,
     beta_exponent,
     classify,
-    coercive_decay_exponents,
     decay_prediction,
     delta_threshold,
-    l1_regime_exponents,
     lambda_rate,
     nu_exponent,
     regime_thresholds,
-    regularizing_bound,
     regularizing_exponents,
-    regularizing_omega,
     sigma_exponent,
     sup_decay_exponents,
     universal_sup_exponent,
@@ -274,70 +270,14 @@ def test_universal_sup_exponent():
         universal_sup_exponent(2.0)
 
 
-def test_coercive_decay_frozen():
-    assert coercive_decay_exponents(2.0, 1.0, math.inf, 3) == pytest.approx((1.0, 1.5))
-    assert coercive_decay_exponents(3.0, 2.0, math.inf, 4) == pytest.approx((0.6, 0.4))
-    # r = nu: no smoothing, pure persistence of the datum norm
-    h0, h1 = coercive_decay_exponents(2.0, 2.0, 2.0, 3)
-    assert h0 == pytest.approx(1.0, rel=1e-14)
-    assert h1 == pytest.approx(0.0, abs=1e-14)
-    # finite r converges to the sup-norm exponents as r -> inf
-    big = coercive_decay_exponents(2.0, 1.0, 1e9, 3)
-    lim = coercive_decay_exponents(2.0, 1.0, math.inf, 3)
-    assert big == pytest.approx(lim, rel=1e-6)
-    with pytest.raises(ValueError):
-        coercive_decay_exponents(1.2, 1.0, math.inf, 3)  # p <= 2N/(N+nu)
-    with pytest.raises(ValueError):
-        coercive_decay_exponents(2.0, 2.0, 1.5, 3)  # r < nu
-    with pytest.raises(ValueError):
-        coercive_decay_exponents(3.0, 1.0, math.inf, 3)  # p >= N
-
-
 def test_regularizing_frozen():
     de, te = regularizing_exponents(2.0, 3.0, 4.0, 3)
     assert de == pytest.approx(4.0, rel=1e-14)
     assert te == pytest.approx(0.5, rel=1e-14)
-    assert regularizing_omega(2.0, 3.0, 4.0, 3) == pytest.approx(1.0 / 9.0, rel=1e-14)
     de, te = regularizing_exponents(2.0, 2.0, 4.0, 3)
     assert (de, te) == pytest.approx((4.0, 1.5))
-    assert regularizing_bound(2.0, 2.0, 4.0, 3, g0=2.0, t=4.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         regularizing_exponents(2.0, 4.0, 3.0, 3)  # r <= sigma
-    with pytest.raises(ValueError):
-        regularizing_bound(2.0, 2.0, 4.0, 3, g0=1.0, t=0.0)
-
-
-def test_l1_exponents_frozen():
-    ex = l1_regime_exponents(2.0, 1.2, 3)
-    assert ex.b == pytest.approx(1.0 / 15.0, rel=1e-12)
-    assert ex.gn_exponent == pytest.approx(24.0 / 7.0, rel=1e-12)
-    assert ex.weak_u_exponent == pytest.approx(5.0 / 3.0, rel=1e-14)
-    assert ex.weak_gradient_exponent == pytest.approx(5.0 / 4.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        l1_regime_exponents(1.4, 1.0, 3)  # p below the L^1 range
-    with pytest.raises(ValueError):
-        l1_regime_exponents(2.0, 1.3, 3)  # q past the sigma = 1 landmark
-
-
-def test_l1_excess_exponent_bounds():
-    rng = np.random.default_rng(37)
-    for _ in range(2000):
-        n = int(rng.integers(2, 7))
-        thr_p_lo = 2.0 * n / (n + 1.0)
-        if thr_p_lo >= n:
-            continue
-        p = float(rng.uniform(thr_p_lo + 1e-6, n - 1e-6))
-        thr = regime_thresholds(p, n)
-        if thr.q_lower >= thr.q_l1 - 1e-9:
-            continue
-        q = float(rng.uniform(thr.q_lower + 1e-9, thr.q_l1 - 1e-9))
-        b = l1_regime_exponents(p, q, n).b
-        # sharp bound on the excess exponent over the whole admissible range
-        assert 0.0 < b < n / (n + 2.0) + 1e-12, (p, q, n, b)
-        if n <= 3:
-            assert b < 2.0 / n + 1e-12
-    # in dimension >= 4 the excess can exceed 2/N
-    assert l1_regime_exponents(3.5, 2.26, 4).b > 2.0 / 4.0
 
 
 def test_decay_prediction_extinction_frozen():

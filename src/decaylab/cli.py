@@ -257,6 +257,7 @@ def simulate_to_dir(cfg: dict, out_dir: Path, seed_override=None) -> tuple:
     """Run one scenario, write all artifacts, return (exit_code, summary)."""
     scenario = build_scenario(cfg, seed_override)
     checks = VerificationSpec.from_config(cfg)
+    checks.require_columns(scenario.columns)
     report_regime = classify(scenario.params)
     result = run(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)

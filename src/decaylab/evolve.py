@@ -24,16 +24,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.sparse.linalg import spsolve  # noqa: F401  unused; the perfbench trace wraps it
 
-from .field import (
-    CoefficientField,
-    Grid,
-    ScalarField,
-    _divergence_from,
-    _face_components,
-    _face_mobility,
-    _nodal_magnitude_from,
-    read_field_csv,
-)
+from .field import CoefficientField, FluxKernel, Grid, ScalarField, _power, read_field_csv
 from .metrics import NormSeries, lr_norm, truncate_excess
 from .regime import ProblemParams, Regime, classify
 
@@ -225,6 +216,19 @@ class Scenario:
         return 2.0
 
     @property
+    def norm_orders(self) -> tuple:
+        """The orders r of r_list that get their own L^r column (1 and inf are l1 and linf)."""
+        return tuple(r for r in self.r_list if r != 1.0 and math.isfinite(r))
+
+    @property
+    def columns(self) -> tuple:
+        """The labels of the series columns run() records, in order."""
+        labels = ["linf", "l1"] + [f"l{r:g}" for r in self.norm_orders]
+        for k in self.k_levels:
+            labels += [f"gk{k:g}_lsigma", f"gk{k:g}_l1"]
+        return tuple(labels)
+
+    @property
     def dim_mismatch(self) -> bool:
         return self.grid.dim != self.params.dim_n
 
@@ -241,43 +245,63 @@ class RunResult:
     metadata: dict
 
 
-def _explicit_step(values, grid, params, coeff, eps_reg, t):
-    """(stable dt, dt -> forward Euler update) of one state.
+class _ExplicitStep:
+    """Forward Euler steps of one problem on one grid, in one FluxKernel's arrays.
 
-    The stable dt is the diffusive CFL bound with safety 0.4 on the face
-    mobility A(t) D, capped so that the source adds at most a tenth of the
-    sup norm in one step.
+    prepare(values, t) loads a state and returns its stable dt: the diffusive
+    CFL bound with safety 0.4 on the face mobility A(t) D, capped so that the
+    source adds at most a tenth of the sup norm in one step.  update(dt) then
+    returns the stepped state, a new array, and its sup norm.
     """
-    comps = _face_components(values, grid.spacing)
-    mobility = _face_mobility(comps, grid, coeff, params.p, eps_reg, t)
-    max_m = max(float(np.max(m, initial=0.0)) for m in mobility)
-    if max_m > 0.0:
+
+    def __init__(self, grid: Grid, params: ProblemParams, coeff, eps_reg: float):
+        self.kernel = FluxKernel(grid)
+        self.params, self.coeff, self.eps_reg = params, coeff, eps_reg
         h_min = min(grid.spacing)
-        stable = CFL_SAFETY * h_min * h_min / (2.0 * grid.dim * max_m)
-    else:
-        stable = float("inf")
-    if params.gamma > 0.0:
-        grad_mag = _nodal_magnitude_from(comps)
-        source_max = params.gamma * float(np.max(grad_mag, initial=0.0)) ** params.q
-        if source_max > 0.0:
-            sup = float(np.max(np.abs(values), initial=0.0))
-            stable = min(stable, SOURCE_CAP_FRACTION * max(sup, U_FLOOR) / source_max)
+        self._cfl = (CFL_SAFETY * h_min * h_min, 2.0 * grid.dim)
+        self._source = np.empty(grid.shape)
+        self._values, self._t, self._grad_mag = None, 0.0, None
 
-    def update(dt: float) -> np.ndarray:
-        rhs = _divergence_from(comps, mobility, grid)
+    def prepare(self, values: np.ndarray, t: float, sup: Optional[float] = None) -> float:
+        """Stable dt of values at t; sup, when given, is their sup norm."""
+        params, kernel = self.params, self.kernel
+        kernel.load(values)
+        kernel.mobility(self.coeff, params.p, self.eps_reg, t)
+        self._values, self._t = values, t
+        max_m = kernel.max_mobility()
+        if max_m > 0.0:
+            numerator, two_dim = self._cfl
+            stable = numerator / (two_dim * max_m)
+        else:
+            stable = float("inf")
         if params.gamma > 0.0:
-            rhs = rhs + params.gamma * grad_mag**params.q
-        new = values + dt * rhs
-        _check_overflow(new, t + dt)
-        return new
+            grad_mag = self._grad_mag = kernel.nodal_magnitude()
+            source_max = params.gamma * float(np.max(grad_mag, initial=0.0)) ** params.q
+            if source_max > 0.0:
+                if sup is None:
+                    sup = float(np.max(np.abs(values, out=self._source), initial=0.0))
+                stable = min(stable, SOURCE_CAP_FRACTION * max(sup, U_FLOOR) / source_max)
+        return stable
 
-    return stable, update
+    def update(self, dt: float) -> tuple:
+        """(values + dt * rhs, its sup norm); OverflowDetected past the sentinel."""
+        params = self.params
+        rhs = self.kernel.divergence()
+        if params.gamma > 0.0:
+            source = _power(self._grad_mag, params.q, out=self._source)
+            np.multiply(source, params.gamma, out=source)
+            np.add(rhs, source, out=rhs)
+        np.multiply(rhs, dt, out=rhs)
+        new = self._values + rhs
+        return new, _check_overflow(new, self._t + dt, work=self._source)
 
 
-def _check_overflow(values: np.ndarray, t: float) -> None:
-    sup = float(np.max(np.abs(values), initial=0.0))
-    if not np.isfinite(sup) or sup > OVERFLOW_SENTINEL or not np.all(np.isfinite(values)):
+def _check_overflow(values: np.ndarray, t: float, work: Optional[np.ndarray] = None) -> float:
+    """The sup norm of values; OverflowDetected past the sentinel or when not finite."""
+    sup = float(np.max(np.abs(values, out=work), initial=0.0))  # NaN propagates
+    if not math.isfinite(sup) or sup > OVERFLOW_SENTINEL:
         raise OverflowDetected(t, sup)
+    return sup
 
 
 def stable_dt(
@@ -288,7 +312,7 @@ def stable_dt(
     t: float = 0.0,
 ) -> float:
     """Explicit step bound: diffusive CFL on A(t) D with safety 0.4 plus a source cap."""
-    return _explicit_step(fld.values, fld.grid, params, coeff, eps_reg, t)[0]
+    return _ExplicitStep(fld.grid, params, coeff, eps_reg).prepare(fld.values, t)
 
 
 def step_explicit(
@@ -302,8 +326,9 @@ def step_explicit(
     """Forward Euler step; raises OverflowDetected past the blow-up sentinel."""
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    _, update = _explicit_step(fld.values, fld.grid, params, coeff, eps_reg, t)
-    return ScalarField(fld.grid, update(dt))
+    step = _ExplicitStep(fld.grid, params, coeff, eps_reg)
+    step.prepare(fld.values, t)
+    return ScalarField(fld.grid, step.update(dt)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,17 +462,18 @@ def step_imex(
     grid = fld.grid
     p = params.p
     t_new = t + dt
-    comps = _face_components(fld.values, grid.spacing)
+    kernel = FluxKernel(grid)
+    kernel.load(fld.values)
     b = fld.values.copy()
     if params.gamma > 0.0:
-        b = b + dt * params.gamma * _nodal_magnitude_from(comps) ** params.q
+        b = b + dt * params.gamma * kernel.nodal_magnitude() ** params.q
     tol = IMEX_RTOL * (1.0 + lr_norm(fld.values, 2.0, grid.quad_weight))
     # the CG residual is Euclidean; lr_norm weighs each node by quad_weight
     cg_atol = IMEX_CG_FRACTION * tol / math.sqrt(grid.quad_weight)
     flat_b = b.ravel()
 
     cur = fld.values
-    dfaces = _face_mobility(comps, grid, coeff, p, eps_reg, t_new)
+    dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
     factor = None
     prev_res = float("inf")
     for _ in range(IMEX_MAX_ITER):
@@ -463,16 +489,17 @@ def step_imex(
         if not np.all(np.isfinite(x)):
             raise NonConvergenceError("implicit solve produced non-finite values")
         x = x.reshape(grid.shape)
-        comps = _face_components(x, grid.spacing)
-        dfaces = _face_mobility(comps, grid, coeff, p, eps_reg, t_new)
-        residual = x - dt * _divergence_from(comps, dfaces, grid) - b
+        kernel.load(x)
+        dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
+        residual = x - dt * kernel.divergence() - b
         res = lr_norm(residual, 2.0, grid.quad_weight)
         if res < tol:
             _check_overflow(x, t_new)
             return ScalarField(grid, x)
         if res >= prev_res:
             x = 0.5 * (x + cur)  # damp when the fixed point overshoots
-            dfaces = _face_mobility(_face_components(x, grid.spacing), grid, coeff, p, eps_reg, t_new)
+            kernel.load(x)
+            dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
         cur = x
         prev_res = res
     raise NonConvergenceError(
@@ -532,14 +559,26 @@ class _Stepper:
     rejected: int = 0
 
 
+@dataclass
 class _ExplicitStepper(_Stepper):
-    """Forward Euler at the stable dt; the step that reaches t_target lands on it."""
+    """Forward Euler at the stable dt; the step that reaches t_target lands on it.
+
+    The state it returned last comes back as the next u, so the sup norm its
+    overflow check took is that state's source-cap sup.
+    """
+
+    def __post_init__(self):
+        sc = self.scenario
+        self._step = _ExplicitStep(sc.grid, sc.params, sc.coefficient, sc.eps_resolved)
+        self._last = (None, None)
 
     def advance(self, u, t, t_target):
-        sc = self.scenario
-        stable, update = _explicit_step(u, sc.grid, sc.params, sc.coefficient, sc.eps_resolved, t)
+        last, sup = self._last
+        stable = self._step.prepare(u, t, sup if u is last else None)
         dt = _step_size(t, min(stable, t_target - t))
-        return update(dt), (t_target if stable >= t_target - t else t + dt)
+        new, sup = self._step.update(dt)
+        self._last = (new, sup)
+        return new, (t_target if stable >= t_target - t else t + dt)
 
 
 class _ImexStepper(_Stepper):
@@ -571,21 +610,17 @@ def run(scenario: Scenario) -> RunResult:
     _check_ellipticity(scenario, [0.0] + targets)
     u0 = make_initial(scenario.initial, grid, scenario.params, scenario.seed)
 
-    r_cols = [r for r in scenario.r_list if r != 1.0 and math.isfinite(r)]
+    columns, orders = scenario.columns, scenario.norm_orders
     rows = []
 
     def record(ts, values):
-        named = {
-            "linf": float(np.max(np.abs(values), initial=0.0)),
-            "l1": float(np.sum(np.abs(values)) * weight),
-        }
-        for r in r_cols:
-            named[f"l{r:g}"] = lr_norm(values, r, weight)
+        norms = [float(np.max(np.abs(values), initial=0.0)), float(np.sum(np.abs(values)) * weight)]
+        norms += [lr_norm(values, r, weight) for r in orders]
         for k in scenario.k_levels:
             ex = np.abs(truncate_excess(values, k))
-            named[f"gk{k:g}_lsigma"] = float(np.sum(ex**sigma_eff) * weight) ** (1.0 / sigma_eff)
-            named[f"gk{k:g}_l1"] = float(np.sum(ex) * weight)
-        rows.append((ts, named))
+            norms.append(float(np.sum(ex**sigma_eff) * weight) ** (1.0 / sigma_eff))
+            norms.append(float(np.sum(ex) * weight))
+        rows.append((ts, dict(zip(columns, norms))))
 
     u = u0.values.copy()
     t = 0.0

@@ -5,6 +5,12 @@ coordinates (i+1)*h with h = length/(n+1); the boundary nodes at 0 and length
 carry implicit homogeneous Dirichlet values and are never stored.  The flux
 divergence is assembled conservatively on faces, so summing it against the
 geometric cell volume telescopes exactly to the net boundary flux.
+
+All of the operator runs through one FluxKernel per grid.  It holds the state
+in a zero-bordered padded buffer and computes the face gradients, the face
+mobility, the nodal |grad u| and the divergence with in-place ufuncs in its
+own arrays, so a time stepper that keeps one kernel for a run allocates only
+the new state per step.  The public functions below use a kernel of their own.
 """
 
 from __future__ import annotations
@@ -135,75 +141,144 @@ class CoefficientField:
         return out
 
 
-def _face_components(values: np.ndarray, spacing) -> list:
-    """Per axis: (normal gradient, squared full gradient) on that axis's faces."""
-    p = np.pad(values, 1)  # the Dirichlet zeros around the interior nodes
-    if values.ndim == 1:
-        (h,) = spacing
-        g = (p[1:] - p[:-1]) / h
-        return [(g, g * g)]
-    hx, hy = spacing
-    gx = (p[1:, 1:-1] - p[:-1, 1:-1]) / hx
-    tx = (p[1:, 2:] - p[1:, :-2] + p[:-1, 2:] - p[:-1, :-2]) / (4.0 * hy)
-    gy = (p[1:-1, 1:] - p[1:-1, :-1]) / hy
-    ty = (p[2:, 1:] - p[:-2, 1:] + p[2:, :-1] - p[:-2, :-1]) / (4.0 * hx)
-    return [(gx, gx * gx + tx * tx), (gy, gy * gy + ty * ty)]
+def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """x ** e into out, with the sqrt and square that numpy's ** uses for e = 0.5 and 2."""
+    if e == 0.5:
+        return np.sqrt(x, out=out)
+    if e == 2.0:
+        return np.square(x, out=out)
+    return np.power(x, e, out=out)
 
 
-def _diffusivity(mag2: np.ndarray, p: float, eps_reg: float):
-    if p == 2.0:
-        return np.ones_like(mag2)
-    with np.errstate(divide="ignore"):
-        return (eps_reg * eps_reg + mag2) ** ((p - 2.0) / 2.0)
+class FluxKernel:
+    """The regularized flux operator of one grid, evaluated in preallocated arrays.
+
+    load(values) copies a state into a zero-bordered padded buffer (the
+    Dirichlet zeros around the interior nodes) and forms, per axis, the normal
+    gradient and the squared full gradient on that axis's faces;
+    mobility(), nodal_magnitude() and divergence() read them.  Every result
+    is one of the kernel's own arrays and the next call that computes it
+    overwrites it, so a caller that keeps a result copies it.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._spacing = grid.spacing
+        dim = grid.dim
+        padded = np.zeros(tuple(n + 2 for n in grid.shape))
+        self._interior = padded[(slice(1, -1),) * dim]
+        faces = [tuple(n + (a == axis) for a, n in enumerate(grid.shape)) for axis in range(dim)]
+        self._grad = [np.empty(shape) for shape in faces]
+        self._mag2 = [np.empty(shape) for shape in faces]
+        self._mob = [np.empty(shape) for shape in faces]
+        self._face_work = [np.empty(shape) for shape in faces]  # tangential gradient, then flux
+        self._nodal = np.empty(grid.shape)
+        self._div = np.empty(grid.shape)
+        self._node_work = np.empty(grid.shape)
+        p = padded
+        if dim == 1:
+            self._stencils = [(p[1:], p[:-1], None)]
+        else:
+            hx, hy = self._spacing
+            self._stencils = [
+                (p[1:, 1:-1], p[:-1, 1:-1], (p[1:, 2:], p[1:, :-2], p[:-1, 2:], p[:-1, :-2], 4.0 * hy)),
+                (p[1:-1, 1:], p[1:-1, :-1], (p[2:, 1:], p[:-2, 1:], p[2:, :-1], p[:-2, :-1], 4.0 * hx)),
+            ]
+        # (upper, lower) halves along the face axis: face values either side of each node
+        self._grad_halves = [_halves(g, axis) for axis, g in enumerate(self._grad)]
+        self._flux_halves = [_halves(f, axis) for axis, f in enumerate(self._face_work)]
+
+    def load(self, values: np.ndarray) -> None:
+        """Face components of a state: grad = (u+ - u-)/h, mag2 = grad^2 + tangential^2."""
+        self._interior[...] = values
+        for axis, (hi, lo, tangential) in enumerate(self._stencils):
+            h = self._spacing[axis]
+            g, m2, tan = self._grad[axis], self._mag2[axis], self._face_work[axis]
+            np.subtract(hi, lo, out=g)
+            np.divide(g, h, out=g)
+            np.multiply(g, g, out=m2)
+            if tangential is not None:
+                # the average of the two centered differences across the face
+                a, b, c, d, scale = tangential
+                np.subtract(a, b, out=tan)
+                np.add(tan, c, out=tan)
+                np.subtract(tan, d, out=tan)
+                np.divide(tan, scale, out=tan)
+                np.multiply(tan, tan, out=tan)
+                np.add(m2, tan, out=m2)
+
+    def mobility(self, coeff: Optional[CoefficientField], p: float, eps_reg: float, t: float) -> list:
+        """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces; None is A = 1."""
+        for axis, (m2, m) in enumerate(zip(self._mag2, self._mob)):
+            if p == 2.0:
+                m.fill(1.0)
+            else:
+                np.add(m2, eps_reg * eps_reg, out=m)
+                with np.errstate(divide="ignore"):
+                    _power(m, (p - 2.0) / 2.0, out=m)
+            if coeff is not None and coeff.kind != "identity":
+                np.multiply(coeff.face_values(self.grid, axis, t), m, out=m)
+        return self._mob
+
+    def max_mobility(self) -> float:
+        """The largest face mobility of the last mobility() call."""
+        return max(float(np.max(m, initial=0.0)) for m in self._mob)
+
+    def nodal_magnitude(self) -> np.ndarray:
+        """Nodal |grad u|: per axis the average of the two adjacent face gradients."""
+        out = self._nodal
+        for axis, (hi, lo) in enumerate(self._grad_halves):
+            part = out if axis == 0 else self._node_work
+            np.add(lo, hi, out=part)
+            np.multiply(part, 0.5, out=part)
+            np.multiply(part, part, out=part)
+            if axis > 0:
+                np.add(out, part, out=out)
+        return np.sqrt(out, out=out)
+
+    def divergence(self) -> np.ndarray:
+        """Conservative divergence of the face fluxes mobility * normal gradient."""
+        div, work = self._div, self._node_work
+        div.fill(0.0)
+        for axis, (flux, (hi, lo)) in enumerate(zip(self._face_work, self._flux_halves)):
+            with np.errstate(invalid="ignore"):
+                np.multiply(self._mob[axis], self._grad[axis], out=flux)
+            np.subtract(hi, lo, out=work)
+            np.divide(work, self._spacing[axis], out=work)
+            np.add(div, work, out=div)
+        if not np.isfinite(div).all():
+            raise ValueError(
+                "non-finite flux divergence: degenerate zero-gradient face with "
+                "eps_reg = 0 and p < 2; pass eps_reg > 0"
+            )
+        return div
 
 
-def _face_mobility(comps, grid: Grid, coeff: Optional[CoefficientField], p, eps_reg, t) -> list:
-    """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces; None is A = 1."""
-    coeff = coeff if coeff is not None else CoefficientField.identity()
-    return [
-        coeff.face_values(grid, axis, t) * _diffusivity(mag2, p, eps_reg)
-        for axis, (_, mag2) in enumerate(comps)
-    ]
+def _halves(faces: np.ndarray, axis: int) -> tuple:
+    """(faces[1:], faces[:-1]) along axis: the faces after and before each node."""
+    hi = [slice(None)] * faces.ndim
+    lo = [slice(None)] * faces.ndim
+    hi[axis] = slice(1, None)
+    lo[axis] = slice(0, -1)
+    return faces[tuple(hi)], faces[tuple(lo)]
 
 
-def _divergence_from(comps, mobility, grid: Grid) -> np.ndarray:
-    """Conservative divergence of the face fluxes mobility * normal gradient."""
-    div = np.zeros(grid.shape)
-    for axis, ((g, _), m) in enumerate(zip(comps, mobility)):
-        with np.errstate(invalid="ignore"):
-            flux = m * g
-        div += np.diff(flux, axis=axis) / grid.spacing[axis]
-    if not np.all(np.isfinite(div)):
-        raise ValueError(
-            "non-finite flux divergence: degenerate zero-gradient face with "
-            "eps_reg = 0 and p < 2; pass eps_reg > 0"
-        )
-    return div
-
-
-def _nodal_magnitude_from(comps) -> np.ndarray:
-    parts = []
-    for axis, (g, _) in enumerate(comps):
-        lo = [slice(None)] * g.ndim
-        hi = [slice(None)] * g.ndim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        avg = 0.5 * (g[tuple(lo)] + g[tuple(hi)])
-        parts.append(avg * avg)
-    return np.sqrt(np.sum(parts, axis=0))
+def _loaded(fld: ScalarField) -> FluxKernel:
+    kernel = FluxKernel(fld.grid)
+    kernel.load(fld.values)
+    return kernel
 
 
 def gradient(fld: ScalarField) -> tuple:
     """Face-normal difference quotients per axis, Dirichlet zeros outside."""
-    return tuple(g for g, _ in _face_components(fld.values, fld.grid.spacing))
+    return tuple(_loaded(fld)._grad)
 
 
 def face_diffusivities(fld: ScalarField, p: float, eps_reg: float) -> list:
     """(eps^2 + |grad u|^2)^((p-2)/2) on the faces of each axis (no coefficient)."""
     if eps_reg < 0.0:
         raise ValueError("eps_reg must be >= 0")
-    comps = _face_components(fld.values, fld.grid.spacing)
-    return [_diffusivity(mag2, p, eps_reg) for _, mag2 in comps]
+    return _loaded(fld).mobility(None, p, eps_reg, 0.0)
 
 
 def p_flux_divergence(
@@ -221,16 +296,14 @@ def p_flux_divergence(
     """
     if eps_reg < 0.0:
         raise ValueError("eps_reg must be >= 0")
-    grid = fld.grid
-    comps = _face_components(fld.values, grid.spacing)
-    mobility = _face_mobility(comps, grid, coeff, p, eps_reg, t)
-    return ScalarField(grid, _divergence_from(comps, mobility, grid))
+    kernel = _loaded(fld)
+    kernel.mobility(coeff, p, eps_reg, t)
+    return ScalarField(fld.grid, kernel.divergence())
 
 
 def gradient_magnitude(fld: ScalarField) -> ScalarField:
     """Nodal |grad u|: per-axis average of the two adjacent face gradients."""
-    comps = _face_components(fld.values, fld.grid.spacing)
-    return ScalarField(fld.grid, _nodal_magnitude_from(comps))
+    return ScalarField(fld.grid, _loaded(fld).nodal_magnitude())
 
 
 def write_field_csv(fld: ScalarField, path) -> None:

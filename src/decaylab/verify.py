@@ -128,6 +128,16 @@ class VerificationSpec:
             envelopes=_targets(EnvelopeTarget, "envelope", cfg["envelope_targets"]),
         )
 
+    def require_columns(self, labels) -> None:
+        """ValueError naming the first target whose label is not among labels."""
+        for what, targets in (("fit", self.fits), ("envelope", self.envelopes)):
+            for target in targets:
+                if target.label not in labels:
+                    raise ValueError(
+                        f"{what} target {target.name!r}: no series column {target.label!r}; "
+                        f"the run records: {', '.join(labels)}"
+                    )
+
 
 def _new_check(target, kind: str, values: np.ndarray) -> dict:
     """The fields every target check has; an all-zero column makes it vacuous."""

@@ -461,6 +461,24 @@ def test_simulate_malformed_target_exits_before_stepping(tmp_path, capsys):
 @pytest.mark.parametrize(
     "target",
     [
+        'envelope_targets = [{"name": "env", "label": "l3", "m": 1.0}]\n',
+        'fit_targets = [{"name": "fit", "label": "l3", "kind": "power", "window": [1e-4, 2e-3]}]\n',
+    ],
+    ids=["envelope", "fit"],
+)
+def test_simulate_unrecorded_target_label_exits_before_stepping(tmp_path, capsys, target):
+    # r_list = [2] records l2; no run records l3
+    cfg = write_cfg(tmp_path, BASE_CFG + target)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "'l3'" in err and "l2" in err
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
         POWR_FIT,
         'envelope_targets = [{"name": "neg", "label": "linf", "m": 1.0, "slack": -3}]\n',
     ],

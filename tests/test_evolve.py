@@ -545,6 +545,14 @@ def test_run_records_requested_columns_and_snapshots():
     assert np.allclose(res.series.column("gk0_lsigma"), res.series.column("l2"), rtol=1e-12)
 
 
+def test_scenario_columns_are_the_recorded_labels():
+    s = _scenario(r_list=(1.0, 2.0, 3.5, math.inf), k_levels=(0.0, 0.25), t_end=1e-3)
+    assert s.columns == (
+        "linf", "l1", "l2", "l3.5", "gk0_lsigma", "gk0_l1", "gk0.25_lsigma", "gk0.25_l1",
+    )
+    assert run(s).series.labels == list(s.columns)
+
+
 def test_run_explicit_matches_manual_stepping():
     # the fused loop must reproduce the public stepper composition bitwise
     s = _scenario(
@@ -630,7 +638,7 @@ def test_run_rejects_a_coefficient_outside_the_bounds(value, params, monkeypatch
     def no_step(*args, **kwargs):
         raise AssertionError("stepped before the bounds check")
 
-    monkeypatch.setattr(evolve, "_explicit_step", no_step)
+    monkeypatch.setattr(evolve, "_ExplicitStep", no_step)
     with pytest.raises(ValueError, match="ellipticity bounds"):
         run(_heat_with_coefficient(value, params))
 

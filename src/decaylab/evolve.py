@@ -24,7 +24,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.sparse.linalg import spsolve  # noqa: F401  unused; the perfbench trace wraps it
 
-from .field import CoefficientField, FluxKernel, Grid, ScalarField, _power, read_field_csv
+from .field import CoefficientField, FluxKernel, Grid, ScalarField, _halves, _power, read_field_csv
 from .metrics import NormSeries, lr_norm, truncate_excess
 from .regime import ProblemParams, Regime, classify
 
@@ -374,8 +374,9 @@ def _single_blas_thread():
 class _ImplicitStencil:
     """v -> v - dt * div(D grad v) with Dirichlet zeros, on nodes in C order.
 
-    ``upper`` pairs each offset (1, and ny along the first axis in 2D) with
-    the coupling between node k and node k + offset; the matrix is symmetric.
+    ``upper`` pairs each axis's C-order stride, in ascending order, with the
+    coupling between node k and node k + stride along that axis (zero where
+    k is the last node of its line); the matrix is symmetric.
     """
 
     diag: np.ndarray
@@ -383,18 +384,17 @@ class _ImplicitStencil:
 
     @classmethod
     def assemble(cls, grid: Grid, dfaces: list, dt: float) -> "_ImplicitStencil":
-        if grid.dim == 1:
-            (h,) = grid.spacing
-            d = dfaces[0] * (dt / (h * h))
-            return cls(1.0 + d[:-1] + d[1:], ((1, -d[1:-1]),))
-        hx, hy = grid.spacing
-        nx, ny = grid.shape
-        dx = dfaces[0] * (dt / (hx * hx))
-        dy = dfaces[1] * (dt / (hy * hy))
-        diag = 1.0 + dx[:-1, :] + dx[1:, :] + dy[:, :-1] + dy[:, 1:]
-        along = np.zeros((nx, ny))
-        along[:, :-1] = -dy[:, 1:-1]
-        return cls(diag.ravel(), ((1, along.ravel()[:-1]), (ny, -dx[1:-1, :].ravel())))
+        diag, upper = 1.0, []
+        for axis, (faces, h) in enumerate(zip(dfaces, grid.spacing)):
+            d = faces * (dt / (h * h))
+            hi, lo = _halves(d, axis)
+            diag = diag + lo + hi
+            coupling = np.zeros(grid.shape)
+            # the faces between two nodes couple a node to the next one along axis
+            np.negative(_halves(hi, axis)[1], out=_halves(coupling, axis)[1])
+            stride = math.prod(grid.shape[axis + 1:])
+            upper.insert(0, (stride, coupling.ravel()[: coupling.size - stride]))
+        return cls(diag.ravel(), tuple(upper))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v

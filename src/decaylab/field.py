@@ -6,6 +6,8 @@ carry implicit homogeneous Dirichlet values and are never stored.  The flux
 divergence is assembled conservatively on faces, so summing it against the
 geometric cell volume telescopes exactly to the net boundary flux.
 
+Every grid routine here (coordinates, the operator, snapshot I/O) is written
+once, as a loop over the axes; only Grid checks that a grid is 1D or 2D.
 All of the operator runs through one FluxKernel per grid.  It holds the state
 in a zero-bordered padded buffer and computes the face gradients, the face
 mobility, the nodal |grad u| and the divergence with in-place ufuncs in its
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +31,7 @@ from .fileio import atomic_write_text, fmt_float
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid on a box, 1D or 2D, interior nodes only."""
+    """Uniform tensor grid on a box, interior nodes only; the one place limited to 1D or 2D."""
 
     shape: tuple
     lengths: tuple
@@ -69,23 +72,13 @@ class Grid:
 
     def node_mesh(self) -> tuple:
         """Coordinate arrays broadcast to the field shape (ij indexing)."""
-        axes = [self.axis_nodes(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis_nodes(a) for a in range(self.dim)), indexing="ij"))
 
     def face_centers(self, axis: int) -> tuple:
         """Coordinate arrays at the centers of the faces normal to axis."""
-        h = self.spacing
-        normal = (np.arange(self.shape[axis] + 1, dtype=float) + 0.5) * h[axis]
-        if self.dim == 1:
-            return (normal,)
-        other = 1 - axis
-        tangent = self.axis_nodes(other)
-        if axis == 0:
-            return tuple(np.meshgrid(normal, tangent, indexing="ij"))
-        x, y = np.meshgrid(tangent, normal, indexing="ij")
-        return (x, y)
+        normal = (np.arange(self.shape[axis] + 1, dtype=float) + 0.5) * self.spacing[axis]
+        coords = (normal if a == axis else self.axis_nodes(a) for a in range(self.dim))
+        return tuple(np.meshgrid(*coords, indexing="ij"))
 
 
 @dataclass
@@ -132,13 +125,8 @@ class CoefficientField:
         if self.kind == "identity":
             return 1.0
         coords = grid.face_centers(axis)
-        if self.kind == "scalar":
-            out = np.asarray(self.fn(t, *coords), dtype=float)
-        else:
-            out = np.asarray(self.fn(t, axis, *coords), dtype=float)
-        expected = coords[0].shape
-        out = np.broadcast_to(out, expected)
-        return out
+        args = (t, *coords) if self.kind == "scalar" else (t, axis, *coords)
+        return np.broadcast_to(np.asarray(self.fn(*args), dtype=float), coords[0].shape)
 
 
 def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
@@ -175,15 +163,23 @@ class FluxKernel:
         self._nodal = np.empty(grid.shape)
         self._div = np.empty(grid.shape)
         self._node_work = np.empty(grid.shape)
-        p = padded
-        if dim == 1:
-            self._stencils = [(p[1:], p[:-1], None)]
-        else:
-            hx, hy = self._spacing
-            self._stencils = [
-                (p[1:, 1:-1], p[:-1, 1:-1], (p[1:, 2:], p[1:, :-2], p[:-1, 2:], p[:-1, :-2], 4.0 * hy)),
-                (p[1:-1, 1:], p[1:-1, :-1], (p[2:, 1:], p[:-2, 1:], p[2:, :-1], p[:-2, :-1], 4.0 * hx)),
-            ]
+
+        def view(shifts: dict) -> np.ndarray:
+            """The padded buffer over the interior nodes, shifted on the axes in shifts."""
+            return padded[tuple(shifts.get(a, slice(1, -1)) for a in range(dim))]
+
+        up, down, ahead, behind = slice(1, None), slice(None, -1), slice(2, None), slice(None, -2)
+        # per axis: the nodes above and below each face, and per other axis the
+        # four corner blocks of the tangential difference with its divisor
+        self._stencils = [
+            (view({axis: up}), view({axis: down}), [
+                (view({axis: up, other: ahead}), view({axis: up, other: behind}),
+                 view({axis: down, other: ahead}), view({axis: down, other: behind}),
+                 4.0 * self._spacing[other])
+                for other in range(dim) if other != axis
+            ])
+            for axis in range(dim)
+        ]
         # (upper, lower) halves along the face axis: face values either side of each node
         self._grad_halves = [_halves(g, axis) for axis, g in enumerate(self._grad)]
         self._flux_halves = [_halves(f, axis) for axis, f in enumerate(self._face_work)]
@@ -191,15 +187,14 @@ class FluxKernel:
     def load(self, values: np.ndarray) -> None:
         """Face components of a state: grad = (u+ - u-)/h, mag2 = grad^2 + tangential^2."""
         self._interior[...] = values
-        for axis, (hi, lo, tangential) in enumerate(self._stencils):
+        for axis, (hi, lo, corners) in enumerate(self._stencils):
             h = self._spacing[axis]
             g, m2, tan = self._grad[axis], self._mag2[axis], self._face_work[axis]
             np.subtract(hi, lo, out=g)
             np.divide(g, h, out=g)
             np.multiply(g, g, out=m2)
-            if tangential is not None:
+            for a, b, c, d, scale in corners:
                 # the average of the two centered differences across the face
-                a, b, c, d, scale = tangential
                 np.subtract(a, b, out=tan)
                 np.add(tan, c, out=tan)
                 np.subtract(tan, d, out=tan)
@@ -306,46 +301,49 @@ def gradient_magnitude(fld: ScalarField) -> ScalarField:
     return ScalarField(fld.grid, _loaded(fld).nodal_magnitude())
 
 
+def _snapshot_header(grid: Grid) -> list:
+    """The axis indices i, j, the coordinates x, y (as many as axes), then the value."""
+    return [*"ij"[: grid.dim], *"xy"[: grid.dim], "value"]
+
+
 def write_field_csv(fld: ScalarField, path) -> None:
-    """One row per node: 1-based axis indices, coordinates, value."""
+    """One row per node in C order: 1-based axis indices, coordinates, value."""
     grid = fld.grid
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if grid.dim == 1:
-        writer.writerow(["i", "x", "value"])
-        x = grid.axis_nodes(0)
-        for i in range(grid.shape[0]):
-            writer.writerow([i + 1, fmt_float(x[i]), fmt_float(fld.values[i])])
-    else:
-        writer.writerow(["i", "j", "x", "y", "value"])
-        x = grid.axis_nodes(0)
-        y = grid.axis_nodes(1)
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                writer.writerow(
-                    [i + 1, j + 1, fmt_float(x[i]), fmt_float(y[j]), fmt_float(fld.values[i, j])]
-                )
+    writer.writerow(_snapshot_header(grid))
+    # per axis, each node's index and formatted coordinate, formatted once
+    axes = [[(i + 1, fmt_float(x)) for i, x in enumerate(grid.axis_nodes(a))] for a in range(grid.dim)]
+    for nodes, value in zip(itertools.product(*axes), fld.values.ravel()):
+        writer.writerow([i for i, _ in nodes] + [x for _, x in nodes] + [fmt_float(value)])
     atomic_write_text(path, buf.getvalue())
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:
-    """Read a snapshot written by write_field_csv back onto the same grid."""
+    """Read a snapshot written by write_field_csv back onto the same grid.
+
+    ValueError unless it has the grid's header and one full row per node.
+    """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    expected_header = ["i", "x", "value"] if grid.dim == 1 else ["i", "j", "x", "y", "value"]
-    if not rows or rows[0] != expected_header:
-        raise ValueError(f"snapshot header mismatch: expected {expected_header}")
-    body = rows[1:]
-    if len(body) != int(np.prod(grid.shape)):
-        raise ValueError(
-            f"snapshot has {len(body)} rows, grid needs {int(np.prod(grid.shape))}"
-        )
-    values = np.zeros(grid.shape)
-    for row in body:
-        if grid.dim == 1:
-            i = int(row[0]) - 1
-            values[i] = float(row[2])
-        else:
-            i, j = int(row[0]) - 1, int(row[1]) - 1
-            values[i, j] = float(row[4])
+    header = _snapshot_header(grid)
+    if not rows or rows[0] != header:
+        raise ValueError(f"snapshot header mismatch: expected {header}")
+    values, seen = np.zeros(grid.shape), np.zeros(grid.shape, dtype=bool)
+    if len(rows) - 1 != values.size:
+        raise ValueError(f"snapshot has {len(rows) - 1} rows, grid needs {values.size}")
+    for line, row in enumerate(rows[1:], start=2):
+        where, node = f"snapshot line {line}", row[: grid.dim]
+        if len(row) != len(header):
+            raise ValueError(f"{where}: {len(row)} fields, expected {len(header)}")
+        try:
+            index, value = tuple(int(i) - 1 for i in node), float(row[-1])
+        except ValueError:
+            raise ValueError(f"{where}: malformed row {row}") from None
+        if not all(0 <= i < n for i, n in zip(index, grid.shape)):
+            raise ValueError(f"{where}: node {node} outside the grid {grid.shape}")
+        if seen[index]:
+            raise ValueError(f"{where}: node {node} repeated")
+        seen[index] = True
+        values[index] = value
     return ScalarField(grid, values)

@@ -18,6 +18,7 @@ from .metrics import (
     DegenerateWindowError,
     InsufficientDataError,
     NormSeries,
+    _window_select,
     calibrate_decay_rate,
     check_envelope,
     fit_exponential_decay,
@@ -171,14 +172,13 @@ def _fit_check(series: NormSeries, target: FitTarget) -> tuple:
         check["passed"] = False
     if target.max_slope is not None and not fit.slope <= target.max_slope:
         check["passed"] = False
-    lo, hi = target.window
-    mask = (series.times >= lo) & (series.times <= hi) & (series.times > 0.0)
-    t_sel = series.times[mask]
+    # the overlay shows exactly the samples the fit used
+    t_sel, v_sel, _ = _window_select(series, target.label, target.window, positive_t=fit.kind == "power")
     if fit.kind == "power":
         fitted = np.exp(fit.intercept) * t_sel**fit.slope
     else:
         fitted = np.exp(fit.intercept + fit.slope * t_sel)
-    return check, NormSeries(t_sel, {"value": values[mask], "fitted": fitted})
+    return check, NormSeries(t_sel, {"value": v_sel, "fitted": fitted})
 
 
 def _envelope_check(series: NormSeries, target: EnvelopeTarget) -> tuple:

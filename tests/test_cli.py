@@ -14,6 +14,7 @@ from decaylab.cli import (
     parse_config_text,
     serialize_config,
 )
+from decaylab.field import Grid, ScalarField, write_field_csv
 
 BASE_CFG = """
 p = 2.0
@@ -305,6 +306,26 @@ def test_simulate_coefficient_outside_the_bounds_exits_usage(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert "ellipticity bounds" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
+
+
+@pytest.mark.parametrize("line, text", [
+    (17, "1,0.058823529411764705,1.0"),  # node 16 missing, node 1 twice
+    (5, "4,0.23529411764705882"),  # short row
+    (2, "17,1.0,1.0"),  # past the last node
+])
+def test_simulate_malformed_snapshot_exits_before_stepping(tmp_path, capsys, line, text):
+    grid = Grid((16,), (1.0,))
+    snap = tmp_path / "snap.csv"
+    write_field_csv(ScalarField(grid, np.ones(16)), snap)
+    lines = snap.read_text().splitlines()
+    lines[line - 1] = text
+    snap.write_text("\n".join(lines) + "\n")
+    cfg_text = BASE_CFG.replace('initial_kind = "eigenfunction"', 'initial_kind = "file"')
+    cfg = write_cfg(tmp_path, cfg_text + f'initial_path = "{snap}"\n')
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert f"snapshot line {line}" in capsys.readouterr().err
     assert not (out / "series.csv").exists()
 
 

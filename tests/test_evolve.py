@@ -414,7 +414,7 @@ _SHAPES = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     p=st.floats(1.2, 6.0),
     shape=_SHAPES,
@@ -440,7 +440,7 @@ def test_step_imex_maximum_principle_property(p, shape, kind, seed, dt):
 COEFFICIENT_BOUNDS = {"identity": (1.0, 1.0), "scalar": (1.0, 1.5), "diagonal": (0.75, 2.5)}
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     p=st.floats(1.2, 6.0),
     shape=_SHAPES,

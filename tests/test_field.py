@@ -76,6 +76,26 @@ def test_grid_geometry_frozen():
     assert my[0, 2] == pytest.approx(1.2)
 
 
+@pytest.mark.parametrize("shape, lengths", [
+    ((5,), (1.5,)), ((4, 5), (1.0, 2.0)), ((6, 1), (1.0, 0.7)), ((1, 6), (0.7, 1.0)),
+])
+def test_grid_coordinates_are_pinned(shape, lengths):
+    g = Grid(shape, lengths)
+    h = [length / (n + 1) for n, length in zip(shape, lengths)]
+    index = np.indices(shape)
+    mesh = g.node_mesh()
+    assert len(mesh) == len(shape)
+    for a in range(len(shape)):
+        assert np.array_equal(mesh[a], (index[a] + 1.0) * h[a])
+    for axis in range(len(shape)):
+        faces = np.indices(tuple(n + (a == axis) for a, n in enumerate(shape)))
+        centers = g.face_centers(axis)
+        assert len(centers) == len(shape)
+        for a in range(len(shape)):
+            want = (faces[a] + (0.5 if a == axis else 1.0)) * h[a]
+            assert np.array_equal(centers[a], want)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid((0,), (1.0,))
@@ -285,3 +305,55 @@ def test_field_csv_round_trip(tmp_path):
         read_field_csv(path2, g1)  # 1d header expected, 2d file
     with pytest.raises(ValueError, match="rows"):
         read_field_csv(path, Grid((8,), (1.5,)))
+
+
+def test_field_csv_rows_in_c_order(tmp_path):
+    g = Grid((2, 3), (1.0, 2.0))
+    values = np.arange(6.0).reshape(2, 3) - 2.5
+    path = tmp_path / "snap.csv"
+    write_field_csv(ScalarField(g, values), path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "i,j,x,y,value"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(i, j) for i in (1, 2) for j in (1, 2, 3)]
+    for i, j, x, y, v in rows:
+        assert float(x) == int(i) / 3.0 and float(y) == int(j) * 0.5
+        assert float(v) == values[int(i) - 1, int(j) - 1]
+    write_field_csv(ScalarField(Grid((2,), (3.0,)), [4.0, -1.0]), path)
+    assert [line.split(",")[:2] for line in path.read_text().splitlines()] == [
+        ["i", "x"], ["1", "1.0"], ["2", "2.0"]
+    ]
+
+
+def _snapshot_lines(tmp_path, grid):
+    path = tmp_path / "snap.csv"
+    values = np.arange(1.0, 1.0 + np.prod(grid.shape)).reshape(grid.shape)
+    write_field_csv(ScalarField(grid, values), path)
+    return path, path.read_text().splitlines()
+
+
+MALFORMED_ROWS = {
+    # (grid shape, line to change, its new text); line 1 is the header
+    "repeated node": ((2, 3), 7, "1,1,0.333333,0.5,6"),
+    "index zero": ((2, 3), 2, "0,1,0.333333,0.5,1"),
+    "index past the end": ((2, 3), 7, "3,3,1,1.5,6"),
+    "short row": ((2, 3), 4, "1,3,0.333333,1.5"),
+    "long row": ((2, 3), 4, "1,3,0.333333,1.5,3,7"),
+    "non-integer index": ((2, 3), 4, "1,2.5,0.333333,1.5,3"),
+    "non-numeric value": ((2, 3), 4, "1,3,0.333333,1.5,abc"),
+    "1D repeated node": ((4,), 5, "2,0.4,4"),
+    "1D index zero": ((4,), 2, "0,0.2,1"),
+    "1D index past the end": ((4,), 3, "5,0.4,2"),
+    "1D short row": ((4,), 3, "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_read_field_csv_rejects_malformed_rows(tmp_path, case):
+    shape, line, text = MALFORMED_ROWS[case]
+    grid = Grid(shape, (1.0, 2.0)[: len(shape)])
+    path, lines = _snapshot_lines(tmp_path, grid)
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {line}"):
+        read_field_csv(path, grid)

@@ -52,6 +52,21 @@ def test_engine_on_a_written_series_matches_the_cli(tmp_path, capsys):
         assert plot.to_csv_text() == (out / f"plot_{name}.csv").read_text()
 
 
+def test_fit_overlay_has_the_fit_samples():
+    times = [0.1 * k for k in range(11)]
+    series = NormSeries(times, {"linf": [2.0 ** -t for t in times]})
+    spec = VerificationSpec(fits=(
+        FitTarget(name="exp", label="linf", kind="exponential", window=[0.0, 1.0]),
+        FitTarget(name="pow", label="linf", kind="power", window=[0.0, 1.0]),
+    ))
+    report, plots = run_verification(spec, series, 2.0)
+    n_points = {c["name"]: c["fit"]["n_points"] for c in report["checks"]}
+    assert n_points == {"exp": 11, "pow": 10}
+    for name, plot in plots:
+        assert plot.n == n_points[name]
+        assert len(plot.to_csv_text().splitlines()) == n_points[name] + 1
+
+
 def test_targets_coerce_and_default():
     fit = FitTarget(name="f", label="linf", kind="power", window=[0, 1], expected=2, floor=0)
     assert fit.window == (0.0, 1.0)

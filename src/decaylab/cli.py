@@ -274,11 +274,7 @@ def simulate_to_dir(cfg: dict, out_dir: Path, seed_override=None) -> tuple:
         "config": effective_cfg,
         "regime": report_regime.to_dict(),
         "run": {
-            "sigma_eff": result.metadata["sigma_eff"],
-            "eps_reg": result.metadata["eps_reg"],
-            "dim_mismatch": result.metadata["dim_mismatch"],
-            "stopped_early": result.metadata["stopped_early"],
-            "final_time": result.metadata["final_time"],
+            **result.metadata,
             "steps_accepted": result.steps_accepted,
             "steps_rejected": result.steps_rejected,
             "extinction_time": result.extinction_time,
@@ -361,15 +357,11 @@ def cmd_predict(args) -> int:
         raise ValueError("gamma 0 prediction needs an explicit --sigma")
     else:
         report = classify(params)
-        if report.regime not in (
-            Regime.SUPERLINEAR_SIGMA,
-            Regime.SUPERLINEAR_L1,
-            Regime.CRITICAL_L1,
-        ):
+        sigma = report.data_sigma
+        if sigma is None:
             raise ValueError(
                 f"regime {report.regime.value} has no default data exponent; pass --sigma"
             )
-        sigma = report.sigma
     threshold = delta_threshold(params)
     smallness = args.delta if args.delta is not None else (
         args.sup_norm if args.sup_norm is not None else threshold

@@ -1,13 +1,16 @@
 """Initial data, explicit/IMEX time steppers and the adaptive simulation loop.
 
-The explicit stepper uses a diffusive CFL bound on the face mobility
-(coefficient times regularized diffusivity) plus a source cap keeping each
-source increment below a tenth of the current sup norm.  The IMEX stepper
-treats diffusion implicitly (lagged diffusivity fixed point) and the gradient
-source explicitly; each step factors its first sweep's matrix once by banded
-Cholesky and solves the later sweeps by conjugate gradients preconditioned
-with that factor.  Runs record norms at geometrically spaced sample times and
-stop on overflow (sup norm past 1e12) or on an optional extinction floor.
+_ExplicitStepper, which also serves stable_dt and step_explicit, uses a
+diffusive CFL bound on the face mobility (coefficient times regularized
+diffusivity) plus a source cap keeping each source increment below a tenth of
+the current sup norm.  _ImexStepper runs step_imex, which treats diffusion
+implicitly (lagged diffusivity fixed point) and the gradient source
+explicitly; each step factors its first sweep's matrix once by banded Cholesky
+and solves the later sweeps by conjugate gradients preconditioned with that
+factor.  run() records one list per Scenario.columns label at geometrically
+spaced sample times, stops on overflow (sup norm past 1e12) or on an optional
+extinction floor, and returns in RunResult.metadata the `run` block of
+metadata.json, less the RunResult fields and the sample count.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from scipy.sparse.linalg import spsolve  # noqa: F401  unused; the perfbench tra
 
 from .field import CoefficientField, FluxKernel, Grid, ScalarField, _halves, _power, read_field_csv
 from .metrics import NormSeries, lr_norm, truncate_excess
-from .regime import ProblemParams, Regime, classify
+from .regime import ProblemParams, classify
 
 DEFAULT_EPS_DEGENERATE = 1e-8  # p >= 2
 DEFAULT_EPS_SINGULAR = 1e-4  # p < 2
@@ -86,8 +89,8 @@ class InitialSpec:
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial kind {self.kind!r}; have {INITIAL_KINDS}")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be >= 0")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
 
 
 def make_initial(
@@ -170,27 +173,32 @@ class Scenario:
     stop_linf_atol: float = 0.0
 
     def __post_init__(self):
-        if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
+        # every test is written so that NaN fails it; math.inf in r_list is the sup norm
+        if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if self.dt_init <= 0.0:
-            raise ValueError("dt_init must be > 0")
+        if not 0.0 < self.dt_init < math.inf:
+            raise ValueError(f"dt_init must be finite and > 0, got {self.dt_init}")
         if self.stepper not in ("explicit", "imex"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if self.sample_ratio <= 1.0:
-            raise ValueError("sample_ratio must be > 1")
+        if self.sample_start is not None and not 0.0 < self.sample_start < math.inf:
+            raise ValueError(f"sample_start must be finite and > 0, got {self.sample_start}")
+        if not 1.0 < self.sample_ratio < math.inf:
+            raise ValueError(f"sample_ratio must be finite and > 1, got {self.sample_ratio}")
         self.snapshot_times = tuple(sorted(set(float(s) for s in self.snapshot_times)))
-        if any(s < 0.0 or s > self.t_end for s in self.snapshot_times):
-            raise ValueError("snapshot times must lie in [0, t_end]")
+        if not all(0.0 <= s <= self.t_end for s in self.snapshot_times):
+            raise ValueError(f"snapshot_times must lie in [0, t_end], got {self.snapshot_times}")
         self.k_levels = tuple(sorted(set(float(k) for k in self.k_levels)))
-        if any(k < 0.0 for k in self.k_levels):
-            raise ValueError("truncation levels must be >= 0")
+        if not all(0.0 <= k < math.inf for k in self.k_levels):
+            raise ValueError(f"k_levels must be finite and >= 0, got {self.k_levels}")
         self.r_list = tuple(sorted(set(float(r) for r in self.r_list)))
-        if any(r < 1.0 for r in self.r_list):
-            raise ValueError("norm orders must be >= 1")
-        if self.stop_linf_atol < 0.0:
-            raise ValueError("stop_linf_atol must be >= 0")
-        if self.eps_reg is not None and not self.eps_reg >= 0.0:
-            raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
+        if not all(1.0 <= r <= math.inf for r in self.r_list):
+            raise ValueError(f"r_list orders must be >= 1 (inf for the sup norm), got {self.r_list}")
+        if not 0.0 <= self.stop_linf_atol < math.inf:
+            raise ValueError(f"stop_linf_atol must be finite and >= 0, got {self.stop_linf_atol}")
+        if self.eps_reg is not None and not 0.0 <= self.eps_reg < math.inf:
+            raise ValueError(f"eps_reg must be finite and >= 0, got {self.eps_reg}")
+        if self.sigma is not None and not 1.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 1, got {self.sigma}")
 
     @property
     def eps_resolved(self) -> float:
@@ -202,18 +210,9 @@ class Scenario:
     def sigma_resolved(self) -> float:
         """Summability exponent used for truncation-norm columns."""
         if self.sigma is not None:
-            if self.sigma < 1.0:
-                raise ValueError("sigma must be >= 1")
             return float(self.sigma)
-        report = classify(self.params)
-        if report.regime in (
-            Regime.SUPERLINEAR_SIGMA,
-            Regime.SUPERLINEAR_L1,
-            Regime.CRITICAL_L1,
-            Regime.NONEXISTENCE_RISK,
-        ):
-            return float(report.sigma)
-        return 2.0
+        sigma = classify(self.params).data_sigma
+        return 2.0 if sigma is None else float(sigma)
 
     @property
     def norm_orders(self) -> tuple:
@@ -235,7 +234,6 @@ class Scenario:
 
 @dataclass
 class RunResult:
-    scenario: Scenario
     series: NormSeries
     snapshots: list
     extinction_time: Optional[float]
@@ -245,14 +243,19 @@ class RunResult:
     metadata: dict
 
 
-class _ExplicitStep:
+class _ExplicitStepper:
     """Forward Euler steps of one problem on one grid, in one FluxKernel's arrays.
 
     prepare(values, t) loads a state and returns its stable dt: the diffusive
     CFL bound with safety 0.4 on the face mobility A(t) D, capped so that the
     source adds at most a tenth of the sup norm in one step.  update(dt) then
-    returns the stepped state, a new array, and its sup norm.
+    returns the stepped state, a new array, and its sup norm.  advance(u, t,
+    t_target) is one step of run(): at the stable dt, landing on t_target when
+    it reaches it.  The state advance returned last comes back as the next u,
+    so the sup norm its overflow check took is that state's source-cap sup.
     """
+
+    rejected = 0
 
     def __init__(self, grid: Grid, params: ProblemParams, coeff, eps_reg: float):
         self.kernel = FluxKernel(grid)
@@ -261,6 +264,7 @@ class _ExplicitStep:
         self._cfl = (CFL_SAFETY * h_min * h_min, 2.0 * grid.dim)
         self._source = np.empty(grid.shape)
         self._values, self._t, self._grad_mag = None, 0.0, None
+        self._last = (None, None)
 
     def prepare(self, values: np.ndarray, t: float, sup: Optional[float] = None) -> float:
         """Stable dt of values at t; sup, when given, is their sup norm."""
@@ -295,6 +299,14 @@ class _ExplicitStep:
         new = self._values + rhs
         return new, _check_overflow(new, self._t + dt, work=self._source)
 
+    def advance(self, u, t, t_target):
+        last, sup = self._last
+        stable = self.prepare(u, t, sup if u is last else None)
+        dt = _step_size(t, min(stable, t_target - t))
+        new, sup = self.update(dt)
+        self._last = (new, sup)
+        return new, (t_target if stable >= t_target - t else t + dt)
+
 
 def _check_overflow(values: np.ndarray, t: float, work: Optional[np.ndarray] = None) -> float:
     """The sup norm of values; OverflowDetected past the sentinel or when not finite."""
@@ -312,7 +324,7 @@ def stable_dt(
     t: float = 0.0,
 ) -> float:
     """Explicit step bound: diffusive CFL on A(t) D with safety 0.4 plus a source cap."""
-    return _ExplicitStep(fld.grid, params, coeff, eps_reg).prepare(fld.values, t)
+    return _ExplicitStepper(fld.grid, params, coeff, eps_reg).prepare(fld.values, t)
 
 
 def step_explicit(
@@ -326,7 +338,7 @@ def step_explicit(
     """Forward Euler step; raises OverflowDetected past the blow-up sentinel."""
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    step = _ExplicitStep(fld.grid, params, coeff, eps_reg)
+    step = _ExplicitStepper(fld.grid, params, coeff, eps_reg)
     step.prepare(fld.values, t)
     return ScalarField(fld.grid, step.update(dt)[0])
 
@@ -512,8 +524,6 @@ def _sample_times(scenario: Scenario) -> list:
     if t_end <= 0.0:
         return []
     start = scenario.sample_start if scenario.sample_start is not None else t_end * 1e-4
-    if start <= 0.0:
-        raise ValueError("sample_start must be > 0")
     geometric = []
     x = start
     while x < t_end * (1.0 - 1e-12):
@@ -552,37 +562,11 @@ def _step_size(t: float, dt: float) -> float:
 
 
 @dataclass
-class _Stepper:
-    """advance(u, t, t_target) -> (u, t): one accepted step from t towards t_target."""
+class _ImexStepper:
+    """step_imex at dt_init, halving dt after each solve that fails to converge."""
 
     scenario: Scenario
     rejected: int = 0
-
-
-@dataclass
-class _ExplicitStepper(_Stepper):
-    """Forward Euler at the stable dt; the step that reaches t_target lands on it.
-
-    The state it returned last comes back as the next u, so the sup norm its
-    overflow check took is that state's source-cap sup.
-    """
-
-    def __post_init__(self):
-        sc = self.scenario
-        self._step = _ExplicitStep(sc.grid, sc.params, sc.coefficient, sc.eps_resolved)
-        self._last = (None, None)
-
-    def advance(self, u, t, t_target):
-        last, sup = self._last
-        stable = self._step.prepare(u, t, sup if u is last else None)
-        dt = _step_size(t, min(stable, t_target - t))
-        new, sup = self._step.update(dt)
-        self._last = (new, sup)
-        return new, (t_target if stable >= t_target - t else t + dt)
-
-
-class _ImexStepper(_Stepper):
-    """step_imex at dt_init, halving dt after each solve that fails to converge."""
 
     def advance(self, u, t, t_target):
         sc = self.scenario
@@ -610,17 +594,19 @@ def run(scenario: Scenario) -> RunResult:
     _check_ellipticity(scenario, [0.0] + targets)
     u0 = make_initial(scenario.initial, grid, scenario.params, scenario.seed)
 
-    columns, orders = scenario.columns, scenario.norm_orders
-    rows = []
+    orders = scenario.norm_orders
+    times, norms = [], [[] for _ in scenario.columns]
 
     def record(ts, values):
-        norms = [float(np.max(np.abs(values), initial=0.0)), float(np.sum(np.abs(values)) * weight)]
-        norms += [lr_norm(values, r, weight) for r in orders]
+        row = [float(np.max(np.abs(values), initial=0.0)), float(np.sum(np.abs(values)) * weight)]
+        row += [lr_norm(values, r, weight) for r in orders]
         for k in scenario.k_levels:
             ex = np.abs(truncate_excess(values, k))
-            norms.append(float(np.sum(ex**sigma_eff) * weight) ** (1.0 / sigma_eff))
-            norms.append(float(np.sum(ex) * weight))
-        rows.append((ts, dict(zip(columns, norms))))
+            row.append(float(np.sum(ex**sigma_eff) * weight) ** (1.0 / sigma_eff))
+            row.append(float(np.sum(ex) * weight))
+        times.append(ts)
+        for column, value in zip(norms, row):
+            column.append(value)
 
     u = u0.values.copy()
     t = 0.0
@@ -633,7 +619,10 @@ def run(scenario: Scenario) -> RunResult:
     accepted = 0
     blow_time = None
     stopped_early = False
-    stepper = (_ExplicitStepper if scenario.stepper == "explicit" else _ImexStepper)(scenario)
+    if scenario.stepper == "explicit":
+        stepper = _ExplicitStepper(grid, scenario.params, scenario.coefficient, scenario.eps_resolved)
+    else:
+        stepper = _ImexStepper(scenario)
 
     try:
         for target in targets:
@@ -645,7 +634,7 @@ def run(scenario: Scenario) -> RunResult:
                         stopped_early = True
                         break
             if stopped_early:
-                if t > rows[-1][0]:
+                if t > times[-1]:
                     record(t, u)
                 break
             record(target, u)
@@ -654,7 +643,7 @@ def run(scenario: Scenario) -> RunResult:
     except OverflowDetected as exc:
         blow_time = exc.time
 
-    series = NormSeries.from_rows(rows)
+    series = NormSeries(times, dict(zip(scenario.columns, norms)))
     extinction = detect_extinction(series) if blow_time is None else None
     metadata = {
         "sigma_eff": sigma_eff,
@@ -662,10 +651,8 @@ def run(scenario: Scenario) -> RunResult:
         "dim_mismatch": scenario.dim_mismatch,
         "stopped_early": stopped_early,
         "final_time": float(series.times[-1]),
-        "initial_linf": float(series.column("linf")[0]),
     }
     return RunResult(
-        scenario=scenario,
         series=series,
         snapshots=snapshots,
         extinction_time=extinction,

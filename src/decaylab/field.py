@@ -322,7 +322,8 @@ def write_field_csv(fld: ScalarField, path) -> None:
 def read_field_csv(path, grid: Grid) -> ScalarField:
     """Read a snapshot written by write_field_csv back onto the same grid.
 
-    ValueError unless it has the grid's header and one full row per node.
+    ValueError unless it has the grid's header and one full row per node, at
+    that node's coordinates (written round-trip, so compared exactly).
     """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -332,16 +333,20 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
     values, seen = np.zeros(grid.shape), np.zeros(grid.shape, dtype=bool)
     if len(rows) - 1 != values.size:
         raise ValueError(f"snapshot has {len(rows) - 1} rows, grid needs {values.size}")
+    axes = [grid.axis_nodes(a) for a in range(grid.dim)]
     for line, row in enumerate(rows[1:], start=2):
         where, node = f"snapshot line {line}", row[: grid.dim]
         if len(row) != len(header):
             raise ValueError(f"{where}: {len(row)} fields, expected {len(header)}")
         try:
             index, value = tuple(int(i) - 1 for i in node), float(row[-1])
+            coords = [float(x) for x in row[grid.dim : -1]]
         except ValueError:
             raise ValueError(f"{where}: malformed row {row}") from None
         if not all(0 <= i < n for i, n in zip(index, grid.shape)):
             raise ValueError(f"{where}: node {node} outside the grid {grid.shape}")
+        if coords != [x[i] for x, i in zip(axes, index)]:
+            raise ValueError(f"{where}: node {node} of this grid is not at {row[grid.dim : -1]}")
         if seen[index]:
             raise ValueError(f"{where}: node {node} repeated")
         seen[index] = True

@@ -114,20 +114,6 @@ class NormSeries:
             raise KeyError(f"no series column {label!r}; available: {self.labels}")
         return self.columns[label]
 
-    @classmethod
-    def from_rows(cls, rows: Sequence) -> "NormSeries":
-        if not rows:
-            raise ValueError("cannot build a series from zero rows")
-        labels = list(rows[0][1].keys())
-        times = [r[0] for r in rows]
-        cols = {lab: [] for lab in labels}
-        for _, named in rows:
-            if list(named.keys()) != labels:
-                raise ValueError("inconsistent labels across rows")
-            for lab in labels:
-                cols[lab].append(named[lab])
-        return cls(np.asarray(times, dtype=float), {l: np.asarray(v) for l, v in cols.items()})
-
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

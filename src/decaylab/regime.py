@@ -59,20 +59,23 @@ class ProblemParams:
     measure: float = 1.0
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"p must be > 1, got {self.p}")
-        if not self.q > 0.0:
-            raise ValueError(f"q must be > 0, got {self.q}")
-        if int(self.dim_n) != self.dim_n or self.dim_n < 2:
+        # every test is written so that NaN fails it
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must be finite and > 1, got {self.p}")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError(f"q must be finite and > 0, got {self.q}")
+        if not (self.dim_n >= 2 and float(self.dim_n).is_integer()):
             raise ValueError(f"dim_n must be an integer >= 2, got {self.dim_n}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 < self.alpha <= self.lambda_upper:
-            raise ValueError("need 0 < alpha <= lambda_upper")
-        if self.sobolev_const <= 0.0:
-            raise ValueError("sobolev_const must be positive")
-        if self.measure <= 0.0:
-            raise ValueError("measure must be positive")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0.0 < self.alpha <= self.lambda_upper < math.inf:
+            raise ValueError(
+                f"need 0 < alpha <= lambda_upper, both finite; got {self.alpha}, {self.lambda_upper}"
+            )
+        if not 0.0 < self.sobolev_const < math.inf:
+            raise ValueError(f"sobolev_const must be finite and > 0, got {self.sobolev_const}")
+        if not 0.0 < self.measure < math.inf:
+            raise ValueError(f"measure must be finite and > 0, got {self.measure}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,13 @@ class RegimeReport:
     q_l2: float
     p_lower: float
     dim_mismatch_warning: bool = False
+
+    @property
+    def data_sigma(self) -> Optional[float]:
+        """sigma for the regimes whose data have an exponent of their own, else None."""
+        if self.regime in (Regime.SUPERLINEAR_SIGMA, Regime.SUPERLINEAR_L1, Regime.CRITICAL_L1):
+            return self.sigma
+        return None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -247,10 +257,10 @@ def lambda_rate(params: ProblemParams, sigma: float, smallness: float) -> float:
     Raises NonPositiveRateError when the bracket is not positive.
     """
     p, n = params.p, float(params.dim_n)
-    if sigma < 1.0:
-        raise ValueError(f"lambda_rate needs sigma >= 1, got {sigma}")
-    if smallness < 0.0:
-        raise ValueError("smallness must be >= 0")
+    if not 1.0 <= sigma < math.inf:
+        raise ValueError(f"lambda_rate needs a finite sigma >= 1, got {sigma}")
+    if not smallness >= 0.0:
+        raise ValueError(f"smallness must be >= 0, got {smallness}")
     if params.gamma > 0.0 and not params.q < p:
         raise ValueError("lambda_rate needs q < p when gamma > 0")
     beta = beta_exponent(sigma, p)
@@ -354,8 +364,8 @@ def decay_prediction(
     params: ProblemParams, sigma: float, smallness: float, y0: float
 ) -> DecayPrediction:
     """Assemble the full decay forecast for data of sigma norm y0."""
-    if y0 < 0.0:
-        raise ValueError("y0 must be >= 0")
+    if not 0.0 <= y0 < math.inf:
+        raise ValueError(f"y0 must be finite and >= 0, got {y0}")
     p = params.p
     lam = lambda_rate(params, sigma, smallness)
     beta = beta_exponent(sigma, p)

@@ -313,6 +313,7 @@ def test_simulate_coefficient_outside_the_bounds_exits_usage(tmp_path, capsys):
     (17, "1,0.058823529411764705,1.0"),  # node 16 missing, node 1 twice
     (5, "4,0.23529411764705882"),  # short row
     (2, "17,1.0,1.0"),  # past the last node
+    (2, "1,0.11764705882352941,1.0"),  # node 1 of the same grid on [0, 2]
 ])
 def test_simulate_malformed_snapshot_exits_before_stepping(tmp_path, capsys, line, text):
     grid = Grid((16,), (1.0,))
@@ -327,6 +328,34 @@ def test_simulate_malformed_snapshot_exits_before_stepping(tmp_path, capsys, lin
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert f"snapshot line {line}" in capsys.readouterr().err
     assert not (out / "series.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma", "NaN"),  # every gk0_lsigma was nan and the contraction check passed
+    ("gamma", "NaN"),  # ran as gamma = 0
+    ("snapshot_times", "[NaN]"),  # wrote no snapshot
+    ("k_levels", "[NaN]"),
+    ("dt_init", "Infinity"),
+])
+def test_simulate_non_finite_input_exits_before_stepping(tmp_path, capsys, key, value):
+    lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--gamma", "gamma"),  # printed nan rates and exited 0
+    ("--sigma", "sigma"),
+    ("--y0", "y0"),
+    ("--delta", "smallness"),
+])
+def test_predict_non_finite_input_exits_usage(capsys, flag, name):
+    args = {"--p": "2.0", "--q": "1.5", "--N": "3", "--gamma": "1.0", "--y0": "1.0", flag: "nan"}
+    assert main(["predict", *(x for pair in args.items() for x in pair)]) == EXIT_USAGE
+    assert name in capsys.readouterr().err
 
 
 def test_simulate_zero_datum_vacuous(tmp_path, capsys):

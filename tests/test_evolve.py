@@ -28,8 +28,8 @@ from decaylab.field import (
     p_flux_divergence,
     write_field_csv,
 )
-from decaylab.metrics import NormSeries, lr_norm
-from decaylab.regime import ProblemParams
+from decaylab.metrics import NormSeries, lr_norm, truncate_excess
+from decaylab.regime import ProblemParams, Regime, classify
 
 P_HEAT = ProblemParams(p=2.0, q=1.0, dim_n=3, gamma=0.0)
 
@@ -487,6 +487,34 @@ def test_scenario_validation():
     assert _scenario(eps_reg=0.0).eps_resolved == 0.0
 
 
+NON_FINITE_SCENARIOS = {
+    # field: values that must be rejected; NaN passes every `x < bound` test
+    "dt_init": (math.nan, math.inf),
+    "sample_start": (math.nan, math.inf),
+    "sample_ratio": (math.nan, math.inf),
+    "stop_linf_atol": (math.nan, math.inf),
+    "eps_reg": (math.nan, math.inf),
+    "sigma": (math.nan, math.inf, 0.5),
+    "snapshot_times": ((math.nan,), (0.0, math.nan)),
+    "k_levels": ((math.nan,), (math.inf,)),
+    "r_list": ((math.nan,), (2.0, math.nan)),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, values in NON_FINITE_SCENARIOS.items() for value in values
+])
+def test_scenario_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=name):
+        _scenario(**{name: value})
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -1.0])
+def test_initial_amplitude_must_be_finite_and_nonnegative(amplitude):
+    with pytest.raises(ValueError, match="amplitude"):
+        InitialSpec(kind="bump", amplitude=amplitude)
+
+
 def test_scenario_resolved_properties():
     s = _scenario(params=ProblemParams(p=2.0, q=1.5, dim_n=3, gamma=1.0))
     assert s.sigma_resolved == pytest.approx(3.0)
@@ -543,6 +571,34 @@ def test_run_records_requested_columns_and_snapshots():
     assert res.series.times[0] == 0.0 and res.series.times[-1] == 0.004
     # k = 0 sigma column matches the plain norm of order sigma (here 2.0)
     assert np.allclose(res.series.column("gk0_lsigma"), res.series.column("l2"), rtol=1e-12)
+
+
+def test_run_columns_equal_their_recomputation_from_the_snapshots():
+    params = ProblemParams(p=1.9, q=1.6, dim_n=2, gamma=0.3)
+    s = Scenario(
+        params=params,
+        grid=Grid((9, 8), (1.0, 1.5)),
+        initial=InitialSpec(kind="bump"),
+        t_end=4e-3,
+        r_list=(1.0, 2.0, 3.5, math.inf),
+        k_levels=(0.0, 0.2),
+        snapshot_times=(0.0, 1e-3, 2.5e-3, 4e-3),
+    )
+    sigma = s.sigma_resolved
+    assert classify(params).regime is Regime.SUPERLINEAR_SIGMA and sigma not in (1.0, 2.0)
+    res = run(s)
+    assert [ts for ts, _ in res.snapshots] == list(s.snapshot_times)
+    for ts, snap in res.snapshots:
+        (i,) = np.flatnonzero(res.series.times == ts)
+        want = {"linf": lr_norm(snap, math.inf), "l1": lr_norm(snap, 1.0)}
+        want.update((f"l{r:g}", lr_norm(snap, r)) for r in (2.0, 3.5))
+        for k in s.k_levels:
+            excess = truncate_excess(snap.values, k)
+            want[f"gk{k:g}_lsigma"] = lr_norm(excess, sigma, s.grid.quad_weight)
+            want[f"gk{k:g}_l1"] = lr_norm(excess, 1.0, s.grid.quad_weight)
+        assert list(want) == res.series.labels
+        for label, value in want.items():
+            assert res.series.column(label)[i] == value, (ts, label)
 
 
 def test_scenario_columns_are_the_recorded_labels():
@@ -638,7 +694,7 @@ def test_run_rejects_a_coefficient_outside_the_bounds(value, params, monkeypatch
     def no_step(*args, **kwargs):
         raise AssertionError("stepped before the bounds check")
 
-    monkeypatch.setattr(evolve, "_ExplicitStep", no_step)
+    monkeypatch.setattr(evolve, "_ExplicitStepper", no_step)
     with pytest.raises(ValueError, match="ellipticity bounds"):
         run(_heat_with_coefficient(value, params))
 

@@ -345,6 +345,8 @@ MALFORMED_ROWS = {
     "1D index zero": ((4,), 2, "0,0.2,1"),
     "1D index past the end": ((4,), 3, "5,0.4,2"),
     "1D short row": ((4,), 3, "2"),
+    "coordinate one ulp off": ((2, 3), 6, "2,2,0.6666666666666666,1.0000000000000002,5"),
+    "1D coordinate of the next node": ((4,), 2, "1,0.4,1"),
 }
 
 
@@ -357,3 +359,14 @@ def test_read_field_csv_rejects_malformed_rows(tmp_path, case):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line {line}"):
         read_field_csv(path, grid)
+
+
+@pytest.mark.parametrize("written, read", [
+    (Grid((16,), (2.0,)), Grid((16,), (1.0,))),
+    (Grid((2, 3), (1.0, 2.0)), Grid((2, 3), (1.0, 3.0))),
+])
+def test_read_field_csv_rejects_another_domain(tmp_path, written, read):
+    path = tmp_path / "snap.csv"
+    write_field_csv(ScalarField(written, np.ones(written.shape)), path)
+    with pytest.raises(ValueError, match="line 2: node"):
+        read_field_csv(path, read)

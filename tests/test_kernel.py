@@ -363,8 +363,7 @@ def test_returned_states_are_not_overwritten_by_later_steps():
     p_flux_divergence(first, CoefficientField.identity(), 1.9, 1e-4)
     assert np.array_equal(div.values, kept_div)
 
-    scenario = Scenario(params=params, grid=grid, initial=InitialSpec(kind="bump"), t_end=1e-3, eps_reg=1e-4)
-    stepper = _ExplicitStepper(scenario)
+    stepper = _ExplicitStepper(grid, params, CoefficientField.identity(), 1e-4)
     u, t = fld.values, 0.0
     states = []
     for _ in range(4):

@@ -80,12 +80,7 @@ def test_lr_norm_frozen_values():
 
 
 def test_norm_series_basics():
-    rows = [
-        (0.0, {"linf": 1.0, "l1": 0.5}),
-        (0.5, {"linf": 0.8, "l1": 0.4}),
-        (1.0, {"linf": 0.6, "l1": 0.3}),
-    ]
-    s = NormSeries.from_rows(rows)
+    s = NormSeries([0.0, 0.5, 1.0], {"linf": [1.0, 0.8, 0.6], "l1": [0.5, 0.4, 0.3]})
     assert s.labels == ["linf", "l1"]
     assert s.n == 3
     assert np.array_equal(s.column("l1"), [0.5, 0.4, 0.3])

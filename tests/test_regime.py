@@ -213,6 +213,37 @@ def test_params_validation():
         ProblemParams(p=2.0, q=1.0, dim_n=3, alpha=2.0, lambda_upper=1.0)
 
 
+@pytest.mark.parametrize("name", ["p", "q", "gamma", "alpha", "lambda_upper", "sobolev_const", "measure"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_numbers(name, value):
+    # NaN passes every `x < bound` test, so a NaN gamma used to run as gamma = 0
+    with pytest.raises(ValueError, match=f"{name} must be finite|lambda_upper, both finite"):
+        ProblemParams(**{"p": 2.0, "q": 1.0, "dim_n": 3, name: value})
+
+
+@pytest.mark.parametrize("dim_n", [math.nan, math.inf, 2.5])
+def test_params_reject_a_dimension_that_is_not_an_integer(dim_n):
+    with pytest.raises(ValueError, match="dim_n"):
+        ProblemParams(p=2.0, q=1.0, dim_n=dim_n)
+
+
+def test_data_sigma_is_sigma_only_where_the_regime_has_one():
+    cases = [
+        (ProblemParams(p=2.0, q=1.5, dim_n=3, gamma=1.0), Regime.SUPERLINEAR_SIGMA, 3.0),
+        (ProblemParams(p=2.0, q=1.1, dim_n=3, gamma=1.0), Regime.SUPERLINEAR_L1, 1.0),
+        (ProblemParams(p=2.0, q=1.25, dim_n=3, gamma=1.0), Regime.CRITICAL_L1, 1.1),
+        (ProblemParams(p=2.0, q=0.8, dim_n=3, gamma=1.0), Regime.SUBLINEAR, None),
+        (ProblemParams(p=2.0, q=2.5, dim_n=3, gamma=1.0), Regime.OUT_OF_RANGE, None),
+    ]
+    for params, regime, sigma in cases:
+        report = classify(params)
+        assert report.regime is regime
+        assert report.data_sigma == (None if sigma is None else pytest.approx(sigma))
+        assert "data_sigma" not in report.to_dict()
+    risk = classify(ProblemParams(p=2.0, q=1.5, dim_n=3, gamma=1.0), data_nu=1.0)
+    assert risk.regime is Regime.NONEXISTENCE_RISK and risk.data_sigma is None
+
+
 def test_delta_threshold_frozen():
     params = ProblemParams(p=2.0, q=1.5, dim_n=3, gamma=1.0)
     assert delta_threshold(params) == pytest.approx(1.0 / 64.0, rel=1e-14)

@@ -139,12 +139,21 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _config_int(value, key: str) -> int:
+    """A config integer: a JSON number with a finite integral value (3 or 3.0)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def build_params(cfg: dict) -> ProblemParams:
     measure = float(np.prod(build_grid(cfg).lengths))
     return ProblemParams(
         p=float(cfg["p"]),
         q=float(cfg["q"]),
-        dim_n=int(cfg["dim_n"]),
+        dim_n=_config_int(cfg["dim_n"], "dim_n"),
         gamma=float(cfg["gamma"]),
         alpha=float(cfg["alpha"]),
         lambda_upper=float(cfg["lambda_upper"]),
@@ -155,7 +164,7 @@ def build_params(cfg: dict) -> ProblemParams:
 
 def build_grid(cfg: dict) -> Grid:
     n = cfg["grid_n"]
-    shape = tuple(int(x) for x in n) if isinstance(n, list) else (int(n),)
+    shape = tuple(_config_int(x, "grid_n") for x in (n if isinstance(n, list) else [n]))
     lengths = cfg["domain_lengths"]
     if isinstance(lengths, (int, float)):
         lengths = [float(lengths)] * len(shape)
@@ -198,7 +207,7 @@ def build_scenario(cfg: dict, seed_override=None) -> Scenario:
         radius=cfg["initial_radius"],
         path=cfg["initial_path"],
     )
-    seed = int(seed_override) if seed_override is not None else int(cfg["seed"])
+    seed = int(seed_override) if seed_override is not None else _config_int(cfg["seed"], "seed")
     return Scenario(
         params=params,
         grid=grid,

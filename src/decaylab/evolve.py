@@ -28,7 +28,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from scipy.sparse.linalg import spsolve  # noqa: F401  unused; the perfbench trace wraps it
 
 from .field import CoefficientField, FluxKernel, Grid, ScalarField, _halves, _power, read_field_csv
-from .metrics import NormSeries, lr_norm, truncate_excess
+from .metrics import NormSeries, _power_sum, lr_norm, truncate_excess
 from .regime import ProblemParams, classify
 
 DEFAULT_EPS_DEGENERATE = 1e-8  # p >= 2
@@ -601,8 +601,9 @@ def run(scenario: Scenario) -> RunResult:
         row = [float(np.max(np.abs(values), initial=0.0)), float(np.sum(np.abs(values)) * weight)]
         row += [lr_norm(values, r, weight) for r in orders]
         for k in scenario.k_levels:
-            ex = np.abs(truncate_excess(values, k))
-            row.append(float(np.sum(ex**sigma_eff) * weight) ** (1.0 / sigma_eff))
+            ex = truncate_excess(values, k)
+            np.abs(ex, out=ex)
+            row.append((_power_sum(ex, sigma_eff) * weight) ** (1.0 / sigma_eff))
             row.append(float(np.sum(ex) * weight))
         times.append(ts)
         for column, value in zip(norms, row):

@@ -18,7 +18,7 @@ the new state per step.  The public functions below use a kernel of their own.
 from __future__ import annotations
 
 import csv
-import io
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -75,10 +75,20 @@ class Grid:
         return tuple(np.meshgrid(*(self.axis_nodes(a) for a in range(self.dim)), indexing="ij"))
 
     def face_centers(self, axis: int) -> tuple:
-        """Coordinate arrays at the centers of the faces normal to axis."""
-        normal = (np.arange(self.shape[axis] + 1, dtype=float) + 0.5) * self.spacing[axis]
-        coords = (normal if a == axis else self.axis_nodes(a) for a in range(self.dim))
-        return tuple(np.meshgrid(*coords, indexing="ij"))
+        """Coordinate arrays at the centers of the faces normal to axis (read-only, built once)."""
+        return self._face_centers[axis]
+
+    @functools.cached_property
+    def _face_centers(self) -> tuple:
+        meshes = []
+        for axis in range(self.dim):
+            normal = (np.arange(self.shape[axis] + 1, dtype=float) + 0.5) * self.spacing[axis]
+            coords = (normal if a == axis else self.axis_nodes(a) for a in range(self.dim))
+            mesh = tuple(np.meshgrid(*coords, indexing="ij"))
+            for array in mesh:
+                array.setflags(write=False)
+            meshes.append(mesh)
+        return tuple(meshes)
 
 
 @dataclass
@@ -307,16 +317,18 @@ def _snapshot_header(grid: Grid) -> list:
 
 
 def write_field_csv(fld: ScalarField, path) -> None:
-    """One row per node in C order: 1-based axis indices, coordinates, value."""
+    """One row per node in C order: 1-based axis indices, coordinates, value.
+
+    The bytes are csv.writer's: no field (an index, a name or a shortest
+    round-trip float) holds a delimiter or a quote, so none is quoted.
+    """
     grid = fld.grid
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_snapshot_header(grid))
     # per axis, each node's index and formatted coordinate, formatted once
-    axes = [[(i + 1, fmt_float(x)) for i, x in enumerate(grid.axis_nodes(a))] for a in range(grid.dim)]
-    for nodes, value in zip(itertools.product(*axes), fld.values.ravel()):
-        writer.writerow([i for i, _ in nodes] + [x for _, x in nodes] + [fmt_float(value)])
-    atomic_write_text(path, buf.getvalue())
+    axes = [[(str(i + 1), fmt_float(x)) for i, x in enumerate(grid.axis_nodes(a))] for a in range(grid.dim)]
+    prefixes = (",".join([i for i, _ in nodes] + [x for _, x in nodes]) for nodes in itertools.product(*axes))
+    rows = [",".join(_snapshot_header(grid))]
+    rows += [f"{prefix},{value!r}" for prefix, value in zip(prefixes, fld.values.ravel().tolist())]
+    atomic_write_text(path, "\n".join(rows) + "\n")
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:

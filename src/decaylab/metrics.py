@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .fileio import atomic_write_text, fmt_float
+from .fileio import atomic_write_text
 
 
 class InsufficientDataError(ValueError):
@@ -33,24 +33,48 @@ class DegenerateWindowError(ValueError):
 def level_split(z, k: float):
     """Split z into (excess, capped) parts at level k >= 0.
 
-    excess is z pushed toward 0 by k (zero inside [-k, k]); capped is the
-    remainder.  The capped part is computed as z - excess rather than by
-    clipping: that choice makes excess + capped == z EXACT in floating point
-    for every input (Sterbenz: either |z| <= 2k so z - sign(z)k is exact, or
-    the recomputed difference z - excess is), at the price of the capped part
-    deviating from clip(z, -k, k) by at most one ulp for huge |z|.
+    excess is truncate_excess(z, k), z pushed toward 0 by k (zero inside
+    [-k, k]); capped is the remainder.  The capped part is computed as
+    z - excess rather than by clipping: that choice makes excess + capped == z
+    EXACT in floating point for every input (Sterbenz: either |z| <= 2k so
+    z - sign(z)k is exact, or the recomputed difference z - excess is), at the
+    price of the capped part deviating from clip(z, -k, k) by at most one ulp
+    for huge |z|.
+    """
+    excess = truncate_excess(z, k)
+    return excess, np.asarray(z, dtype=float) - excess
+
+
+def truncate_excess(z, k: float):
+    """Part of z exceeding level k, signed: 0 inside [-k, k].
+
+    Formed as sign(z) (|z| - k)+, which rounds exactly as z - sign(z) k
+    (rounding is symmetric in sign); the final + 0.0 turns the -0.0 of a
+    negative z inside [-k, k] into 0.0.
     """
     if not (k >= 0.0 and math.isfinite(k)):
         raise ValueError(f"truncation level must be finite and >= 0, got {k}")
     z = np.asarray(z, dtype=float)
-    excess = np.where(np.abs(z) <= k, 0.0, z - np.sign(z) * k)
-    capped = z - excess
-    return excess, capped
+    excess = np.abs(z, out=np.empty_like(z))
+    np.subtract(excess, k, out=excess)
+    np.maximum(excess, 0.0, out=excess)
+    np.copysign(excess, z, out=excess)
+    return np.add(excess, 0.0, out=excess)
 
 
-def truncate_excess(z, k: float):
-    """Part of z exceeding level k, signed: 0 inside [-k, k]."""
-    return level_split(z, k)[0]
+def _power_sum(ex: np.ndarray, sigma: float) -> float:
+    """np.sum(ex ** sigma) for ex >= 0 and sigma > 0, bit for bit.
+
+    numpy's SIMD pow takes a slow path for every lane that is 0, which makes
+    it several times slower on a mostly-zero excess.  Those lanes are raised
+    as 1 and then set back to 0 (= 0 ** sigma), so the powers and their sum
+    are exactly those of ex ** sigma.
+    """
+    zero = np.equal(ex, 0.0, out=np.empty_like(ex))  # 1.0 on the zero lanes
+    powers = np.add(ex, zero)
+    np.power(powers, sigma, out=powers)
+    np.subtract(powers, zero, out=powers)
+    return float(np.sum(powers))
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +139,12 @@ class NormSeries:
         return self.columns[label]
 
     def to_csv_text(self) -> str:
+        """csv.writer's bytes: the header through it, the rows (shortest
+        round-trip floats, which hold no delimiter or quote) joined directly."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t"] + self.labels)
-        for i in range(self.n):
-            writer.writerow(
-                [fmt_float(self.times[i])]
-                + [fmt_float(self.columns[lab][i]) for lab in self.labels]
-            )
+        csv.writer(buf, lineterminator="\n").writerow(["t"] + self.labels)
+        columns = [self.times.tolist()] + [self.columns[lab].tolist() for lab in self.labels]
+        buf.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
@@ -362,7 +384,7 @@ def truncation_level_for(fld, sigma: float, target: float, weight=None) -> float
     values, w = _values_and_weight(fld, weight)
 
     def power(k):
-        return float(np.sum(np.abs(truncate_excess(values, k)) ** sigma) * w)
+        return _power_sum(np.abs(truncate_excess(values, k)), sigma) * w
 
     if power(0.0) <= target:
         return 0.0

@@ -346,6 +346,32 @@ def test_simulate_non_finite_input_exits_before_stepping(tmp_path, capsys, key, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid_n", "Infinity"),  # int() raised OverflowError: a traceback and exit 1
+    ("grid_n", "NaN"),
+    ("grid_n", "2.5"),  # ran on 2 nodes
+    ("grid_n", "[16, Infinity]"),
+    ("dim_n", "Infinity"),
+    ("dim_n", "NaN"),
+    ("dim_n", "3.5"),  # ran as N = 3
+    ("seed", "Infinity"),
+])
+def test_simulate_integer_key_must_be_a_finite_integer(tmp_path, capsys, key, value):
+    lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert f"config key {key!r} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_is_an_integer_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("grid_n = 16", "grid_n = 16.0").replace("dim_n = 3", "dim_n = 3.0"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) > 2
+
+
 @pytest.mark.parametrize("flag, name", [
     ("--gamma", "gamma"),  # printed nan rates and exited 0
     ("--sigma", "sigma"),

@@ -96,6 +96,24 @@ def test_grid_coordinates_are_pinned(shape, lengths):
             assert np.array_equal(centers[a], want)
 
 
+def test_face_centers_are_built_once_and_read_only():
+    g = Grid((4, 3), (1.0, 2.0))
+    for axis in range(2):
+        centers = g.face_centers(axis)
+        assert centers is g.face_centers(axis)
+        for array in centers:
+            with pytest.raises(ValueError):
+                array[0, 0] = -1.0
+    # a coefficient that writes into its arguments cannot corrupt the cache
+    def scribble(t, x, y):
+        x += 1.0
+        return 1.0 + 0.0 * x
+
+    with pytest.raises(ValueError):
+        CoefficientField(kind="scalar", fn=scribble).face_values(g, 0, 0.0)
+    assert np.array_equal(g.face_centers(0)[0][:, 0], (np.arange(5) + 0.5) * 0.2)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid((0,), (1.0,))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from decaylab.field import Grid, ScalarField
@@ -9,6 +11,7 @@ from decaylab.metrics import (
     DegenerateWindowError,
     InsufficientDataError,
     NormSeries,
+    _power_sum,
     calibrate_decay_rate,
     check_envelope,
     envelope_extinction_time,
@@ -62,6 +65,61 @@ def test_level_split_ordering():
         # excess is monotone nonincreasing in k
         ex2, _ = level_split(z, k * 2.0)
         assert np.all(np.abs(ex2) <= np.abs(ex) + 1e-15)
+
+
+def ref_excess(z, k):
+    """truncate_excess as first written: 0 inside [-k, k], z - sign(z) k outside."""
+    z = np.asarray(z, dtype=float)
+    return np.where(np.abs(z) <= k, 0.0, z - np.sign(z) * k)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, -1.0])
+SIGMAS = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 14.0 / 3.0]), st.floats(1.0, 8.0))
+
+
+@st.composite
+def excess_arrays(draw):
+    """|excess|-like arrays >= 0 with no zero, some zeros, or only zeros."""
+    n = draw(st.integers(1, 64))
+    ex = np.array(draw(st.lists(st.floats(0.0, 1e300) | EXTREMES.map(abs), min_size=n, max_size=n)))
+    share = draw(st.sampled_from(["none", "some", "all"]))
+    if share == "none":
+        ex[ex == 0.0] = 0.5
+    elif share == "some":
+        ex[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    else:
+        ex[:] = 0.0
+    return ex
+
+
+@settings(max_examples=400)
+@given(excess_arrays(), SIGMAS)
+def test_power_sum_is_the_sum_of_powers_bitwise(ex, sigma):
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.sum(ex**sigma)
+        got = _power_sum(ex, sigma)
+    assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.floats(-1e300, 1e300) | EXTREMES, min_size=1, max_size=120),
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0), EXTREMES.map(abs)),
+    st.booleans(),
+)
+def test_truncate_excess_is_the_where_formula_bitwise(z, k, level_on_a_node):
+    z = np.array(z)
+    if level_on_a_node:
+        k = abs(float(z[len(z) // 2]))  # |z| == k at one node: the band's edge
+    ex = truncate_excess(z, k)
+    assert np.array_equal(_bits(ex), _bits(ref_excess(z, k)))
+    assert np.array_equal(_bits(ex), _bits(level_split(z, k)[0]))
+    grid = z[: 2 * (len(z) // 2)].reshape(2, -1)
+    assert np.array_equal(_bits(truncate_excess(grid, k)), _bits(ref_excess(grid, k)))
 
 
 def test_lr_norm_frozen_values():

@@ -1,0 +1,133 @@
+"""Run the same decaylab configs on two source trees and list every artifact that differs.
+
+Usage: python3 tools/artifact_diff.py OLD NEW [--seeds 1 7] [--keep DIR]
+
+OLD and NEW are each a checkout (holding src/decaylab) or a src directory
+(holding decaylab).  Each tree runs, with its own PYTHONPATH and one BLAS
+thread, every config below from this repository:
+
+- perfbench/workloads/imex2d.cfg and explicit2d.cfg, with `simulate`;
+- perfbench/workloads/sweep_io.cfg, with `sweep --jobs 2 --seed S` per seed;
+- the example config of README.md's "Config files" section;
+- the explicit2d and imex2d configs with the `sinusoidal` coefficient
+  (alpha = 0.5, lambda_upper = 1.5) and a shorter t_end.
+
+Every file the two trees write is compared byte for byte, and so is each
+command's exit code.  In sweep_summary.json the output root is replaced by a
+placeholder first, so its paths never count.  Only the standard library is
+used.  Exit status: 0 when everything is identical, 1 when anything differs,
+2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads"
+CLI = "import sys; from decaylab.cli import main; sys.exit(main())"
+SINUSOIDAL = {"coefficient": '"sinusoidal"', "alpha": "0.5", "lambda_upper": "1.5"}
+
+
+def readme_config() -> str:
+    """The fenced example under README.md's "### Config files" heading."""
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"### Config files.*?```\n(.*?)```", text, re.S)
+    if match is None:
+        raise SystemExit("README.md has no example config under '### Config files'")
+    return match.group(1)
+
+
+def with_keys(text: str, keys: dict) -> str:
+    """A config with the given keys set, replacing their lines where present."""
+    lines = [line for line in text.splitlines() if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
+
+
+def runs(seeds) -> list:
+    """(name, config text, CLI arguments after the config) for every run."""
+    imex, explicit = (WORKLOADS / "imex2d.cfg").read_text(), (WORKLOADS / "explicit2d.cfg").read_text()
+    sweep = (WORKLOADS / "sweep_io.cfg").read_text()
+    return [
+        ("imex2d", imex, ["simulate"]),
+        ("explicit2d", explicit, ["simulate"]),
+        *((f"sweep_io_seed{s}", sweep, ["sweep", "--jobs", "2", "--seed", str(s)]) for s in seeds),
+        ("readme", readme_config(), ["simulate"]),
+        ("sinusoidal_explicit", with_keys(explicit, {**SINUSOIDAL, "t_end": "0.02"}), ["simulate"]),
+        ("sinusoidal_imex", with_keys(imex, {**SINUSOIDAL, "t_end": "0.2"}), ["simulate"]),
+    ]
+
+
+def source_dir(arg: str) -> Path:
+    path = Path(arg).resolve()
+    for candidate in (path / "src", path):
+        if (candidate / "decaylab" / "__init__.py").is_file():
+            return candidate
+    raise SystemExit(f"{arg}: neither it nor its src/ holds the decaylab package")
+
+
+def run_tree(src: Path, out: Path, plan) -> dict:
+    """Run every config with src on PYTHONPATH; {run name: exit code}."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env.pop("DECAYLAB_OUT", None)
+    codes = {}
+    for name, text, args in plan:
+        cfg = out / f"{name}.cfg"
+        cfg.write_text(text)
+        command = [sys.executable, "-c", CLI, args[0], "--config", str(cfg), "--out", str(out / name),
+                   *args[1:]]
+        codes[name] = subprocess.run(command, cwd=out, env=env, stdout=subprocess.DEVNULL,
+                                     stderr=subprocess.DEVNULL).returncode
+        summary = out / name / "sweep_summary.json"
+        if summary.is_file():
+            summary.write_text(summary.read_text().replace(str(out), "<out>"))
+    return codes
+
+
+def files(root: Path) -> set:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1], help="sweep_io seeds (default: 1)")
+    parser.add_argument("--keep", type=Path, help="write the outputs here and keep them")
+    args = parser.parse_args(argv)
+    trees = {"old": source_dir(args.old), "new": source_dir(args.new)}
+    plan = runs(args.seeds)
+    base = Path(tempfile.mkdtemp(prefix="artifact-diff-")) if args.keep is None else args.keep.resolve()
+    try:
+        codes, outs = {}, {}
+        for side, src in trees.items():
+            outs[side] = base / side
+            outs[side].mkdir(parents=True, exist_ok=True)
+            codes[side] = run_tree(src, outs[side], plan)
+        differ = [f"exit code of {name}: {codes['old'][name]} -> {codes['new'][name]}"
+                  for name, _, _ in plan if codes["old"][name] != codes["new"][name]]
+        old_files, new_files = files(outs["old"]), files(outs["new"])
+        for rel in sorted(old_files | new_files):
+            if rel not in new_files or rel not in old_files:
+                differ.append(f"only in {'old' if rel in old_files else 'new'}: {rel}")
+            elif (outs["old"] / rel).read_bytes() != (outs["new"] / rel).read_bytes():
+                differ.append(f"differs: {rel}")
+        for line in differ:
+            print(line)
+        print(f"{len(old_files | new_files)} files compared, {len(differ)} differences")
+        return 1 if differ else 0
+    finally:
+        if args.keep is None:
+            shutil.rmtree(base, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -412,6 +411,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     out_root = _resolve_out_dir(args.out, cfg)
     ps = cfg["sweep_p"] if cfg["sweep_p"] else [cfg["p"]]
@@ -424,8 +425,12 @@ def cmd_sweep(args) -> int:
         if args.seed is not None:
             sub["seed"] = args.seed
         tasks.append((sub, str(out_root / f"p{p:g}_q{q:g}_gamma{gamma:g}")))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all of its workers at once, so it gets no more than there are cells
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(_sweep_worker, tasks))
     else:
         summaries = [_sweep_worker(task) for task in tasks]
@@ -494,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--config", required=True)
     pw.add_argument("--out", default=None)
     pw.add_argument("--seed", type=int, default=None)
-    pw.add_argument("--jobs", type=int, default=1)
+    pw.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per cell")
     pw.set_defaults(func=cmd_sweep)
     return parser
 

@@ -11,11 +11,13 @@ factor.  run() records one list per Scenario.columns label at geometrically
 spaced sample times, stops on overflow (sup norm past 1e12) or on an optional
 extinction floor, and returns in RunResult.metadata the `run` block of
 metadata.json, less the RunResult fields and the sample count.
+
+scipy is imported only inside the IMEX solver functions, so a process that
+takes no IMEX step never loads it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 from contextlib import contextmanager
@@ -23,9 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import LinearOperator, cg
-from scipy.sparse.linalg import spsolve  # noqa: F401  unused; the perfbench trace wraps it
 
 from .field import CoefficientField, FluxKernel, Grid, ScalarField, _halves, _power, read_field_csv
 from .metrics import NormSeries, _power_sum, lr_norm, truncate_excess
@@ -43,6 +42,18 @@ IMEX_RTOL = 1e-10
 IMEX_CG_MAX_ITER = 8  # CG iterations per sweep, about one factorization's cost, before re-factoring
 IMEX_CG_FRACTION = 1e-3  # CG stops at this fraction of the step's residual tolerance
 MAX_SAMPLE_TARGETS = 200000
+
+
+def __getattr__(name: str):
+    """`evolve.spsolve` is scipy's, imported on first access (PEP 562).
+
+    Nothing in the package calls it; perfbench/traced.py wraps the name.
+    """
+    if name == "spsolve":
+        from scipy.sparse.linalg import spsolve
+
+        return spsolve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class OverflowDetected(RuntimeError):
@@ -346,6 +357,8 @@ def step_explicit(
 @functools.lru_cache(maxsize=None)
 def _openblas_threads():
     """(get, set) for the thread count of the OpenBLAS behind scipy.linalg, or None."""
+    import ctypes
+
     try:
         from scipy.linalg import _flapack
 
@@ -425,14 +438,18 @@ class _ImplicitStencil:
         return ab
 
     def factor(self) -> np.ndarray:
+        from scipy.linalg import cholesky_banded
+
         try:
             with _single_blas_thread():
                 return cholesky_banded(self.banded(), overwrite_ab=True, check_finite=False)
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
             raise NonConvergenceError(f"implicit matrix factorization failed: {exc}") from exc
 
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    from scipy.linalg import cho_solve_banded
+
     return cho_solve_banded((factor, False), rhs, check_finite=False)
 
 
@@ -441,6 +458,8 @@ def _pcg_sweep(stencil, factor, b, x0, atol):
 
     None when the residual is not below atol after IMEX_CG_MAX_ITER iterations.
     """
+    from scipy.sparse.linalg import LinearOperator, cg
+
     n = b.size
     mat = LinearOperator((n, n), matvec=stencil.matvec, dtype=float)
     precond = LinearOperator((n, n), matvec=lambda r: _cho_solve(factor, r), dtype=float)

@@ -90,6 +90,14 @@ class Grid:
             meshes.append(mesh)
         return tuple(meshes)
 
+    @functools.cached_property
+    def _snapshot_prefixes(self) -> tuple:
+        """Per node in C order, its snapshot row up to the value: "i,j,x,y" (built once)."""
+        axes = [[(str(i + 1), fmt_float(x)) for i, x in enumerate(self.axis_nodes(a))]
+                for a in range(self.dim)]
+        return tuple(",".join([i for i, _ in nodes] + [x for _, x in nodes])
+                     for nodes in itertools.product(*axes))
+
 
 @dataclass
 class ScalarField:
@@ -323,11 +331,9 @@ def write_field_csv(fld: ScalarField, path) -> None:
     round-trip float) holds a delimiter or a quote, so none is quoted.
     """
     grid = fld.grid
-    # per axis, each node's index and formatted coordinate, formatted once
-    axes = [[(str(i + 1), fmt_float(x)) for i, x in enumerate(grid.axis_nodes(a))] for a in range(grid.dim)]
-    prefixes = (",".join([i for i, _ in nodes] + [x for _, x in nodes]) for nodes in itertools.product(*axes))
     rows = [",".join(_snapshot_header(grid))]
-    rows += [f"{prefix},{value!r}" for prefix, value in zip(prefixes, fld.values.ravel().tolist())]
+    values = fld.values.ravel().tolist()
+    rows += [f"{prefix},{value!r}" for prefix, value in zip(grid._snapshot_prefixes, values)]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 

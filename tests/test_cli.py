@@ -493,6 +493,60 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
         assert a == b
 
 
+class _InlineExecutor:
+    """A ProcessPoolExecutor stand-in that records max_workers and maps in this process."""
+
+    def __init__(self, max_workers, made):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool the sweep opens; none is started."""
+    import concurrent.futures
+
+    made = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _InlineExecutor(max_workers, made)
+    )
+    return made
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, pools, jobs):
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_USAGE
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists() and pools == []
+
+
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, capsys, pools):
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "64"]) == EXIT_OK
+    capsys.readouterr()
+    assert pools == [4]
+    assert len(json.loads((out / "sweep_summary.json").read_text())) == 4
+
+
+def test_one_cell_sweep_runs_in_process(tmp_path, capsys, pools):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.count("exit=0") == 1
+    assert pools == []
+
+
 def test_sweep_propagates_failure_code(tmp_path, capsys):
     cfg_text = SWEEP_CFG + (
         'fit_targets = [{"name": "absurd", "label": "linf", "kind": "exponential",'

@@ -1,9 +1,10 @@
 """Leftovers of a removal in src/decaylab, found with the stdlib ast module.
 
-Two kinds are caught: a module-level import that its module never reads,
-and a private (`_`-prefixed) top-level function or class that nothing else
-in the package references.  `from __future__` imports and import statements
-marked `# noqa` are exempt.
+Two kinds are caught: an import that its scope never reads (a module-level
+import its module, a function-local one its function, nested functions
+included), and a private (`_`-prefixed) top-level function or class that
+nothing else in the package references.  `from __future__` imports and
+import statements marked `# noqa` are exempt.
 """
 
 import ast
@@ -13,7 +14,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "decaylab"
 MODULES = sorted(SRC.glob("*.py"))
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def _exported(tree) -> set:
@@ -24,23 +26,39 @@ def _exported(tree) -> set:
     return set()
 
 
+def _own_imports(scope) -> list:
+    """The import statements of a module or function, less those of the functions inside it."""
+    imports, stack = [], list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.append(node)
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return imports
+
+
+def _read_names(scope) -> set:
+    return {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+
+
 def unused_imports(path: Path) -> list:
     text = path.read_text()
     lines, tree = text.splitlines(), ast.parse(text, filename=str(path))
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    scopes = [(tree, _read_names(tree) | _exported(tree))]
+    scopes += [(f, _read_names(f)) for f in ast.walk(tree) if isinstance(f, FUNCTIONS)]
     unused = []
-    for node in tree.body:
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if getattr(node, "module", None) == "__future__":
-            continue
-        if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
-            continue
-        for alias in node.names:
-            name = (alias.asname or alias.name).split(".")[0]
-            if name not in read:
-                unused.append(f"{path.name}:{node.lineno}: {name}")
-    return unused
+    for scope, read in scopes:
+        for node in _own_imports(scope):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append((node.lineno, f"{path.name}:{node.lineno}: {name}"))
+    return [entry for _, entry in sorted(unused)]
 
 
 def _references(node) -> set:
@@ -73,6 +91,7 @@ def unreferenced_private(paths) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_read(path):
+    # function-local imports too, each against the names its own function reads
     assert unused_imports(path) == []
 
 
@@ -100,3 +119,28 @@ def test_the_checks_find_leftovers(tmp_path):
     )
     assert unused_imports(module) == ["mod.py:4: dc_field"]
     assert unreferenced_private([module]) == ["mod.py:10: _dead"]
+
+
+def test_the_checks_find_unused_function_local_imports(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import math\n"
+        "\n"
+        "def solve(x):\n"
+        "    from os import path, sep\n"
+        "    try:\n"
+        "        import json\n"
+        "    except ImportError:\n"
+        "        return None\n"
+        "\n"
+        "    def inner():\n"
+        "        import csv\n"
+        "        return sep\n"
+        "\n"
+        "    return inner() + str(math.pi)\n"
+        "\n"
+        "def uses_json():\n"
+        "    return json.dumps(1)\n"
+    )
+    # a name read only in another function does not count; a closure's read does
+    assert unused_imports(module) == ["mod.py:4: path", "mod.py:6: json", "mod.py:11: csv"]

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 from itertools import product
 from pathlib import Path
 
@@ -54,39 +55,48 @@ EXIT_VERIFICATION = 3
 EXIT_BLOWUP = 4
 EXIT_IO = 5
 
+# how main and each sweep cell report an exception: (types, exit code, stderr prefix)
+_FAILURES = (
+    ((ValueError, KeyError, TypeError), EXIT_USAGE, "error"),
+    ((NonConvergenceError,), EXIT_BLOWUP, "stepping failure"),
+    ((OSError,), EXIT_IO, "io error"),
+)
+_HANDLED = tuple(t for types, _, _ in _FAILURES for t in types)
+
+
+def _failure(exc: Exception) -> tuple:
+    """(exit code, stderr prefix) of an exception in _HANDLED."""
+    return next((code, prefix) for types, code, prefix in _FAILURES if isinstance(exc, types))
+
+
+def _config_fields(cls, prefix: str = "", skip=()) -> dict:
+    """{config key: field} for the fields of cls that a config sets, in field order."""
+    return {prefix + f.name: f for f in fields(cls) if f.name not in skip}
+
+
+def _defaults(keyed: dict) -> dict:
+    """The fields' defaults as config values: None for a field with none, a tuple as a list."""
+    defaults = {key: None if f.default is MISSING else f.default for key, f in keyed.items()}
+    return {key: list(d) if isinstance(d, tuple) else d for key, d in defaults.items()}
+
+
+def _values(cfg: dict, keyed: dict) -> dict:
+    """The config's values of the keyed fields, by field name."""
+    return {f.name: cfg[key] for key, f in keyed.items()}
+
+
+_PARAM_KEYS = _config_fields(ProblemParams, skip=("measure",))  # measure is the grid's volume
+_INITIAL_KEYS = _config_fields(InitialSpec, "initial_")
+_SCENARIO_KEYS = _config_fields(Scenario, skip=("params", "grid", "initial", "coefficient"))
+
 # every config key with its default; None means "unset"
 CONFIG_DEFAULTS = {
-    "p": None,
-    "q": None,
-    "dim_n": None,
-    "gamma": 0.0,
-    "alpha": 1.0,
-    "lambda_upper": 1.0,
-    "sobolev_const": 1.0,
+    **_defaults(_PARAM_KEYS),
     "grid_n": None,
     "domain_lengths": 1.0,
     "coefficient": "identity",
-    "initial_kind": "bump",
-    "initial_amplitude": 1.0,
-    "initial_center": None,
-    "initial_decay_exponent": None,
-    "initial_cap": 1e6,
-    "initial_nu": None,
-    "initial_nu_prime": None,
-    "initial_radius": None,
-    "initial_path": None,
-    "t_end": None,
-    "dt_init": 1e-4,
-    "stepper": "explicit",
-    "eps_reg": None,
-    "snapshot_times": [],
-    "k_levels": [],
-    "r_list": [],
-    "sigma": None,
-    "seed": 0,
-    "sample_start": None,
-    "sample_ratio": 1.05,
-    "stop_linf_atol": 0.0,
+    **_defaults(_INITIAL_KEYS),
+    **_defaults(_SCENARIO_KEYS),
     "out_dir": None,
     "verify_linf_contraction": False,
     "verify_gk_contraction": False,
@@ -132,10 +142,7 @@ def serialize_config(cfg: dict) -> str:
 
 def load_config(path) -> dict:
     with open(path) as handle:
-        text = handle.read()
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg.update(parse_config_text(text))
-    return cfg
+        return {**CONFIG_DEFAULTS, **parse_config_text(handle.read())}
 
 
 def _config_int(value, key: str) -> int:
@@ -147,37 +154,29 @@ def _config_int(value, key: str) -> int:
     return value
 
 
-def build_params(cfg: dict) -> ProblemParams:
-    measure = float(np.prod(build_grid(cfg).lengths))
-    return ProblemParams(
-        p=float(cfg["p"]),
-        q=float(cfg["q"]),
-        dim_n=_config_int(cfg["dim_n"], "dim_n"),
-        gamma=float(cfg["gamma"]),
-        alpha=float(cfg["alpha"]),
-        lambda_upper=float(cfg["lambda_upper"]),
-        sobolev_const=float(cfg["sobolev_const"]),
-        measure=measure,
-    )
-
-
-def build_grid(cfg: dict) -> Grid:
+def build_scenario(cfg: dict, seed_override=None) -> Scenario:
+    """The scenario of a config: one Grid, and each dataclass given its keys by field name."""
+    for key in REQUIRED_FOR_RUN:
+        if cfg.get(key) is None:
+            raise ValueError(f"config is missing required key {key!r}")
     n = cfg["grid_n"]
     shape = tuple(_config_int(x, "grid_n") for x in (n if isinstance(n, list) else [n]))
     lengths = cfg["domain_lengths"]
     if isinstance(lengths, (int, float)):
-        lengths = [float(lengths)] * len(shape)
-    return Grid(shape, tuple(float(l) for l in lengths))
+        lengths = [lengths] * len(shape)
+    grid = Grid(shape, tuple(float(l) for l in lengths))
+    params = ProblemParams(
+        **{**_values(cfg, _PARAM_KEYS), "dim_n": _config_int(cfg["dim_n"], "dim_n")},
+        measure=float(np.prod(grid.lengths)),
+    )
+    initial = InitialSpec(**_values(cfg, _INITIAL_KEYS))
+    seed = int(seed_override) if seed_override is not None else _config_int(cfg["seed"], "seed")
 
-
-def build_coefficient(cfg: dict) -> CoefficientField:
     kind = cfg["coefficient"]
     if kind == "identity":
-        return CoefficientField()
-    if kind == "sinusoidal":
-        alpha = float(cfg["alpha"])
-        lam = float(cfg["lambda_upper"])
-        lengths = build_grid(cfg).lengths
+        coefficient = CoefficientField()
+    elif kind == "sinusoidal":
+        alpha, lam, lengths = params.alpha, params.lambda_upper, grid.lengths
 
         def fn(t, *coords):
             phase = sum(c / l for c, l in zip(coords, lengths))
@@ -185,45 +184,15 @@ def build_coefficient(cfg: dict) -> CoefficientField:
             # alpha + (lam - alpha) * 1 can round one ulp past lam
             return np.clip(value, alpha, lam)
 
-        return CoefficientField(kind="scalar", fn=fn)
-    raise ValueError(f"unknown coefficient {kind!r} (have: identity, sinusoidal)")
-
-
-def build_scenario(cfg: dict, seed_override=None) -> Scenario:
-    for key in REQUIRED_FOR_RUN:
-        if cfg.get(key) is None:
-            raise ValueError(f"config is missing required key {key!r}")
-    params = build_params(cfg)
-    grid = build_grid(cfg)
-    initial = InitialSpec(
-        kind=cfg["initial_kind"],
-        amplitude=float(cfg["initial_amplitude"]),
-        center=tuple(cfg["initial_center"]) if cfg["initial_center"] is not None else None,
-        decay_exponent=cfg["initial_decay_exponent"],
-        cap=float(cfg["initial_cap"]),
-        nu=cfg["initial_nu"],
-        nu_prime=cfg["initial_nu_prime"],
-        radius=cfg["initial_radius"],
-        path=cfg["initial_path"],
-    )
-    seed = int(seed_override) if seed_override is not None else _config_int(cfg["seed"], "seed")
+        coefficient = CoefficientField(kind="scalar", fn=fn)
+    else:
+        raise ValueError(f"unknown coefficient {kind!r} (have: identity, sinusoidal)")
     return Scenario(
         params=params,
         grid=grid,
         initial=initial,
-        t_end=float(cfg["t_end"]),
-        dt_init=float(cfg["dt_init"]),
-        stepper=cfg["stepper"],
-        coefficient=build_coefficient(cfg),
-        eps_reg=cfg["eps_reg"],
-        snapshot_times=tuple(cfg["snapshot_times"]),
-        k_levels=tuple(cfg["k_levels"]),
-        r_list=tuple(cfg["r_list"]),
-        sigma=cfg["sigma"],
-        seed=seed,
-        sample_start=cfg["sample_start"],
-        sample_ratio=float(cfg["sample_ratio"]),
-        stop_linf_atol=float(cfg["stop_linf_atol"]),
+        coefficient=coefficient,
+        **{**_values(cfg, _SCENARIO_KEYS), "seed": seed},
     )
 
 
@@ -326,22 +295,22 @@ def _sweep_worker(task):
     cfg, out_dir = task
     try:
         return simulate_to_dir(cfg, Path(out_dir))[1]
-    except (ValueError, KeyError, TypeError) as exc:
-        return {"out_dir": out_dir, "exit_code": EXIT_USAGE, "error": str(exc)}
-    except NonConvergenceError as exc:
-        return {"out_dir": out_dir, "exit_code": EXIT_BLOWUP, "error": str(exc)}
-    except OSError as exc:
-        return {"out_dir": out_dir, "exit_code": EXIT_IO, "error": str(exc)}
+    except _HANDLED as exc:
+        return {"out_dir": out_dir, "exit_code": _failure(exc)[0], "error": str(exc)}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+def _flag_params(args) -> ProblemParams:
+    """The ProblemParams of the flags; a field whose flag was left out keeps its default."""
+    given = vars(args)
+    return ProblemParams(**{f.name: given[f.name] for f in fields(ProblemParams) if f.name in given})
+
+
 def cmd_classify(args) -> int:
-    params = ProblemParams(
-        p=args.p, q=args.q, dim_n=args.N, gamma=args.gamma if args.gamma is not None else 0.0
-    )
+    params = _flag_params(args)
     report = classify(params, data_nu=args.nu, critical_omega=args.omega)
     payload = report.to_dict()
     _print_payload(payload, args.json)
@@ -349,16 +318,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params = ProblemParams(
-        p=args.p,
-        q=args.q,
-        dim_n=args.N,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        lambda_upper=args.lambda_upper,
-        sobolev_const=args.sobolev_const,
-        measure=args.measure,
-    )
+    params = _flag_params(args)
     if args.sigma is not None:
         sigma = args.sigma
     elif params.gamma == 0.0:
@@ -418,13 +378,17 @@ def cmd_sweep(args) -> int:
     ps = cfg["sweep_p"] if cfg["sweep_p"] else [cfg["p"]]
     qs = cfg["sweep_q"] if cfg["sweep_q"] else [cfg["q"]]
     gammas = cfg["sweep_gamma"] if cfg["sweep_gamma"] else [cfg["gamma"]]
-    tasks = []
+    tasks, cells = [], {}
     for p, q, gamma in product(ps, qs, gammas):
+        name, cell = f"p{p:g}_q{q:g}_gamma{gamma:g}", f"(p={p!r}, q={q!r}, gamma={gamma!r})"
+        if name in cells:
+            raise ValueError(f"sweep cells {cells[name]} and {cell} share the directory {name!r}")
+        cells[name] = cell
         sub = dict(cfg)
         sub.update({"p": p, "q": q, "gamma": gamma, "sweep_p": None, "sweep_q": None, "sweep_gamma": None})
         if args.seed is not None:
             sub["seed"] = args.seed
-        tasks.append((sub, str(out_root / f"p{p:g}_q{q:g}_gamma{gamma:g}")))
+        tasks.append((sub, str(out_root / name)))
     # the pool forks all of its workers at once, so it gets no more than there are cells
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
@@ -447,6 +411,15 @@ def cmd_sweep(args) -> int:
     return code
 
 
+def _add_param_flags(parser, *optional) -> None:
+    """--p, --q and --N, then a flag per optional ProblemParams field, left unset unless given."""
+    parser.add_argument("--p", type=float, required=True)
+    parser.add_argument("--q", type=float, required=True)
+    parser.add_argument("--N", dest="dim_n", metavar="N", type=int, required=True)
+    for name in optional:
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=argparse.SUPPRESS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decaylab",
@@ -456,24 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("classify", help="regime of (p, q, N)")
-    pc.add_argument("--p", type=float, required=True)
-    pc.add_argument("--q", type=float, required=True)
-    pc.add_argument("--N", type=int, required=True)
-    pc.add_argument("--gamma", type=float, default=None)
+    _add_param_flags(pc, "gamma")
     pc.add_argument("--nu", type=float, default=None, help="declared data exponent")
     pc.add_argument("--omega", type=float, default=0.1, help="critical-line sigma bump")
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_classify)
 
     pp = sub.add_parser("predict", help="closed-form decay forecast")
-    pp.add_argument("--p", type=float, required=True)
-    pp.add_argument("--q", type=float, required=True)
-    pp.add_argument("--N", type=int, required=True)
-    pp.add_argument("--gamma", type=float, default=0.0)
-    pp.add_argument("--alpha", type=float, default=1.0)
-    pp.add_argument("--lambda-upper", dest="lambda_upper", type=float, default=1.0)
-    pp.add_argument("--sobolev-const", dest="sobolev_const", type=float, default=1.0)
-    pp.add_argument("--measure", type=float, default=1.0)
+    _add_param_flags(pp, "gamma", "alpha", "lambda_upper", "sobolev_const", "measure")
     pp.add_argument("--sigma", type=float, default=None)
     group = pp.add_mutually_exclusive_group()
     group.add_argument("--delta", type=float, default=None, help="level smallness bound")
@@ -512,15 +475,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonConvergenceError as exc:
-        print(f"stepping failure: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except _HANDLED as exc:
+        code, prefix = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

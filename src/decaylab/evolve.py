@@ -78,8 +78,8 @@ class InitialSpec:
 
     kind "zero": identically zero.
     kind "eigenfunction": amplitude * prod sin(pi x / L) (first Dirichlet mode).
-    kind "bump": smooth compactly supported bump, normalized so the sampled
-        max equals amplitude; center/radius default to the domain middle.
+    kind "bump" (the default): smooth compactly supported bump, normalized so
+        the sampled max equals amplitude; center/radius default to the domain middle.
     kind "power_spike": amplitude * min(cap, |x - center|^(-decay_exponent)),
         with decay_exponent required to lie in (dim/nu_prime, dim/nu) so the
         datum is summable to order nu but not nu_prime (nu_prime > nu).
@@ -87,7 +87,7 @@ class InitialSpec:
     kind "file": snapshot CSV from path.
     """
 
-    kind: str
+    kind: str = "bump"
     amplitude: float = 1.0
     center: Optional[tuple] = None
     decay_exponent: Optional[float] = None
@@ -98,6 +98,10 @@ class InitialSpec:
     path: Optional[str] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "cap", float(self.cap))
+        if self.center is not None:
+            object.__setattr__(self, "center", tuple(self.center))
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial kind {self.kind!r}; have {INITIAL_KINDS}")
         if not 0.0 <= self.amplitude < math.inf:
@@ -184,6 +188,8 @@ class Scenario:
     stop_linf_atol: float = 0.0
 
     def __post_init__(self):
+        for name in ("t_end", "dt_init", "sample_ratio", "stop_linf_atol"):
+            setattr(self, name, float(getattr(self, name)))
         # every test is written so that NaN fails it; math.inf in r_list is the sup norm
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")

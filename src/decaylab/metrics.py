@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -235,15 +235,7 @@ class FitResult:
         return -self.slope
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_rms": self.residual_rms,
-            "n_points": self.n_points,
-            "window": list(self.window),
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def _window_select(series: NormSeries, label: str, window, positive_t: bool):
@@ -264,34 +256,32 @@ def _ls_fit(x: np.ndarray, y: np.ndarray):
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
 
-def fit_power_decay(
-    series: NormSeries, label: str, window, floor: float = 0.0
-) -> FitResult:
-    """Least squares slope of log(value) against log(t) inside the window."""
-    t, v, win = _window_select(series, label, window, positive_t=True)
+def _fit(series: NormSeries, label: str, window, floor: float, kind: str) -> FitResult:
+    """Least squares slope of log(value) against log(t) ("power") or t inside the window."""
+    power = kind == "power"
+    t, v, win = _window_select(series, label, window, positive_t=power)
     if np.any(v <= floor):
         raise DegenerateWindowError(
             f"column {label!r} touches the floor {floor} inside window {win}"
         )
     if t.size < 8:
         raise InsufficientDataError(f"need >= 8 samples in window {win}, got {t.size}")
-    slope, intercept, rms = _ls_fit(np.log(t), np.log(v))
-    return FitResult(label, "power", slope, intercept, rms, int(t.size), win)
+    slope, intercept, rms = _ls_fit(np.log(t) if power else t, np.log(v))
+    return FitResult(label, kind, slope, intercept, rms, int(t.size), win)
+
+
+def fit_power_decay(
+    series: NormSeries, label: str, window, floor: float = 0.0
+) -> FitResult:
+    """Least squares slope of log(value) against log(t) inside the window."""
+    return _fit(series, label, window, floor, "power")
 
 
 def fit_exponential_decay(
     series: NormSeries, label: str, window, floor: float = 0.0
 ) -> FitResult:
     """Least squares slope of log(value) against t inside the window."""
-    t, v, win = _window_select(series, label, window, positive_t=False)
-    if np.any(v <= floor):
-        raise DegenerateWindowError(
-            f"column {label!r} touches the floor {floor} inside window {win}"
-        )
-    if t.size < 8:
-        raise InsufficientDataError(f"need >= 8 samples in window {win}, got {t.size}")
-    slope, intercept, rms = _ls_fit(t, np.log(v))
-    return FitResult(label, "exponential", slope, intercept, rms, int(t.size), win)
+    return _fit(series, label, window, floor, "exponential")
 
 
 # ---------------------------------------------------------------------------

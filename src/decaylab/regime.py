@@ -59,6 +59,8 @@ class ProblemParams:
     measure: float = 1.0
 
     def __post_init__(self):
+        for name in ("p", "q", "gamma", "alpha", "lambda_upper", "sobolev_const", "measure"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         # every test is written so that NaN fails it
         if not 1.0 < self.p < math.inf:
             raise ValueError(f"p must be finite and > 1, got {self.p}")
@@ -147,7 +149,6 @@ class RegimeReport:
     q_l1: float
     q_l2: float
     p_lower: float
-    dim_mismatch_warning: bool = False
 
     @property
     def data_sigma(self) -> Optional[float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from decaylab.cli import (
     serialize_config,
 )
 from decaylab.field import Grid, ScalarField, write_field_csv
+from decaylab.regime import ProblemParams
 
 BASE_CFG = """
 p = 2.0
@@ -121,6 +123,30 @@ def test_predict_paths(capsys):
     )
 
 
+PARAM_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(ProblemParams) if f.default is not dataclasses.MISSING
+}
+
+
+def _default_flags(names):
+    return [x for name in names for x in (f"--{name.replace('_', '-')}", repr(PARAM_DEFAULTS[name]))]
+
+
+@pytest.mark.parametrize("argv, left_out", [
+    (["classify", "--p", "2.0", "--q", "1.5", "--N", "3"], ["gamma"]),
+    (["classify", "--p", "2.0", "--q", "1.5", "--N", "3", "--json"], ["gamma"]),
+    (["predict", "--p", "2.0", "--q", "1.5", "--N", "3", "--sigma", "2.0", "--y0", "1.0"],
+     ["gamma", "alpha", "lambda_upper", "sobolev_const", "measure"]),
+    (["predict", "--p", "2.0", "--q", "1.5", "--N", "3", "--gamma", "1.0", "--y0", "1.0", "--json"],
+     ["alpha", "lambda_upper", "sobolev_const", "measure"]),
+])
+def test_left_out_flags_take_the_problem_params_defaults(capsys, argv, left_out):
+    code = main(argv)
+    printed = capsys.readouterr().out
+    assert main(argv + _default_flags(left_out)) == code
+    assert capsys.readouterr().out == printed
+
+
 def test_no_subcommand_is_usage():
     assert main([]) == EXIT_USAGE
     assert main(["simulate", "--bogus"]) == EXIT_USAGE
@@ -160,6 +186,95 @@ def test_simulate_deterministic_and_verify_bit_identical(tmp_path, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert printed.encode() == (out1 / "verification.json").read_bytes()
+
+
+# every config key, in order, with every default
+BASE_CONFIG_TXT = """\
+p = 2.0
+q = 1.0
+dim_n = 3
+gamma = 0.0
+alpha = 1.0
+lambda_upper = 1.0
+sobolev_const = 1.0
+grid_n = 16
+domain_lengths = 1.0
+coefficient = "identity"
+initial_kind = "eigenfunction"
+initial_amplitude = 1.0
+initial_center = null
+initial_decay_exponent = null
+initial_cap = 1000000.0
+initial_nu = null
+initial_nu_prime = null
+initial_radius = null
+initial_path = null
+t_end = 0.002
+dt_init = 0.0001
+stepper = "explicit"
+eps_reg = null
+snapshot_times = []
+k_levels = []
+r_list = [2]
+sigma = null
+seed = 0
+sample_start = null
+sample_ratio = 1.05
+stop_linf_atol = 0.0
+out_dir = null
+verify_linf_contraction = true
+verify_gk_contraction = false
+fit_targets = []
+envelope_targets = []
+sweep_p = null
+sweep_q = null
+sweep_gamma = null
+"""
+
+
+def test_simulate_echoes_every_config_key_in_order(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert (out / "config.txt").read_text() == BASE_CONFIG_TXT
+
+
+# BASE_CFG with its numbers written as integers and numeric strings, plus
+# float defaults it leaves out, written the same way
+TWIN_CFG = """
+p = 2
+q = "1"
+dim_n = 3
+gamma = 0
+alpha = "1.0"
+lambda_upper = 1
+sobolev_const = "1"
+grid_n = 16
+domain_lengths = 1
+initial_kind = "eigenfunction"
+initial_amplitude = "1"
+initial_cap = 1000000
+t_end = "2e-3"
+dt_init = "0.0001"
+stepper = "explicit"
+r_list = [2]
+sample_ratio = "1.05"
+stop_linf_atol = 0
+verify_linf_contraction = true
+"""
+
+
+def test_integer_and_string_numbers_run_as_their_float_twin(tmp_path, capsys):
+    runs = {}
+    for name, text in (("float", BASE_CFG), ("twin", TWIN_CFG)):
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name), "--json"]) == EXIT_OK
+        runs[name] = json.loads(capsys.readouterr().out)
+    for artifact in ("series.csv", "verification.json"):
+        assert (tmp_path / "float" / artifact).read_bytes() == (tmp_path / "twin" / artifact).read_bytes()
+    for key in ("p", "q", "gamma"):
+        assert type(runs["twin"][key]) is float and runs["twin"][key] == runs["float"][key]
 
 
 def test_verify_catches_tampering(tmp_path, capsys):
@@ -475,6 +590,16 @@ def test_sweep_runs_grid(tmp_path, capsys):
     sub = out / "p2.2_q1_gamma0.2"
     assert (sub / "series.csv").exists()
     assert "gamma = 0.2" in (sub / "config.txt").read_text()
+
+
+def test_sweep_rejects_cells_that_share_a_directory(tmp_path, capsys):
+    # p{p:g} keeps six significant digits: both cells would be p2_q1_gamma0
+    cfg = write_cfg(tmp_path, BASE_CFG + "sweep_p = [2.0000001, 2.0000002]\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "p2_q1_gamma0" in err and "2.0000001" in err and "2.0000002" in err
+    assert not out.exists()
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):

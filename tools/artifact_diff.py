@@ -10,7 +10,11 @@ thread, every config below from this repository:
 - perfbench/workloads/sweep_io.cfg, with `sweep --jobs 2 --seed S` per seed;
 - the example config of README.md's "Config files" section;
 - the explicit2d and imex2d configs with the `sinusoidal` coefficient
-  (alpha = 0.5, lambda_upper = 1.5) and a shorter t_end.
+  (alpha = 0.5, lambda_upper = 1.5) and a shorter t_end;
+- EVERY_KEY, a short 2D run that sets every config key, most numbers written
+  as integers, with `simulate` and with `sweep --jobs 1`;
+- the explicit2d config with its numbers written as JSON strings and a
+  shorter t_end.
 
 Every file the two trees write is compared byte for byte, and so is each
 command's exit code.  In sweep_summary.json the output root is replaced by a
@@ -34,6 +38,50 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads"
 CLI = "import sys; from decaylab.cli import main; sys.exit(main())"
 SINUSOIDAL = {"coefficient": '"sinusoidal"', "alpha": "0.5", "lambda_upper": "1.5"}
+STRING_NUMBERS = {"p": '"1.9"', "q": '"1.5"', "gamma": '"0.1"', "alpha": '"1"', "lambda_upper": '"1.0"',
+                  "sobolev_const": '"2"', "initial_amplitude": '"0.8"', "initial_cap": '"1e6"',
+                  "t_end": '"0.001"', "dt_init": '"1e-4"', "sample_ratio": '"1.05"', "stop_linf_atol": '"0"'}
+EVERY_KEY = """\
+p = 2
+q = 1
+dim_n = 2
+gamma = 1
+alpha = 0.5
+lambda_upper = 2
+sobolev_const = 1
+grid_n = [24, 20]
+domain_lengths = [1, 1.5]
+coefficient = "sinusoidal"
+initial_kind = "power_spike"
+initial_amplitude = 1
+initial_center = [0.5, 0.75]
+initial_decay_exponent = 1
+initial_cap = 50
+initial_nu = 1
+initial_nu_prime = 4
+initial_radius = 0.3
+initial_path = "unused.csv"
+t_end = 0.01
+dt_init = 0.001
+stepper = "explicit"
+eps_reg = 1e-6
+snapshot_times = [0, 0.005]
+k_levels = [0.5, 2]
+r_list = [2, 3]
+sigma = 2
+seed = 3
+sample_start = 0.0001
+sample_ratio = 1.1
+stop_linf_atol = 0
+out_dir = "unused"
+verify_linf_contraction = true
+verify_gk_contraction = true
+fit_targets = [{"name": "linf_power", "label": "linf", "kind": "power", "window": [0.001, 0.01], "max_slope": 0}]
+envelope_targets = [{"name": "l2_env", "label": "l2", "m": 1, "slack": 2}]
+sweep_p = [2, 2.5]
+sweep_q = [1]
+sweep_gamma = [1]
+"""
 
 
 def readme_config() -> str:
@@ -62,6 +110,9 @@ def runs(seeds) -> list:
         ("readme", readme_config(), ["simulate"]),
         ("sinusoidal_explicit", with_keys(explicit, {**SINUSOIDAL, "t_end": "0.02"}), ["simulate"]),
         ("sinusoidal_imex", with_keys(imex, {**SINUSOIDAL, "t_end": "0.2"}), ["simulate"]),
+        ("every_key", EVERY_KEY, ["simulate"]),
+        ("every_key_sweep", EVERY_KEY, ["sweep", "--jobs", "1"]),
+        ("string_numbers", with_keys(explicit, STRING_NUMBERS), ["simulate"]),
     ]
 
 

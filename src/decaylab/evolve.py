@@ -5,15 +5,17 @@ diffusive CFL bound on the face mobility (coefficient times regularized
 diffusivity) plus a source cap keeping each source increment below a tenth of
 the current sup norm.  _ImexStepper runs step_imex, which treats diffusion
 implicitly (lagged diffusivity fixed point) and the gradient source
-explicitly; each step factors its first sweep's matrix once by banded Cholesky
-and solves the later sweeps by conjugate gradients preconditioned with that
-factor.  run() records one list per Scenario.columns label at geometrically
-spaced sample times, stops on overflow (sup norm past 1e12) or on an optional
-extinction floor, and returns in RunResult.metadata the `run` block of
-metadata.json, less the RunResult fields and the sample count.
+explicitly; its sweeps solve by conjugate gradients preconditioned with a
+banded Cholesky factor, which _ImexStepper holds from step to step and which
+is renewed only when CG misses its tolerance.  run() records one list per
+Scenario.columns label at geometrically spaced sample times, stops on
+overflow (sup norm past 1e12) or on an optional extinction floor, and
+returns in RunResult.metadata the `run` block of metadata.json, less the
+RunResult fields and the sample count.
 
 scipy is imported only inside the IMEX solver functions, so a process that
-takes no IMEX step never loads it.
+takes no IMEX step never loads it; they call LAPACK's dpbtrf and dpbtrs
+directly.
 """
 
 from __future__ import annotations
@@ -100,6 +102,9 @@ class InitialSpec:
     def __post_init__(self):
         object.__setattr__(self, "amplitude", float(self.amplitude))
         object.__setattr__(self, "cap", float(self.cap))
+        for name in ("decay_exponent", "nu", "nu_prime", "radius"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         if self.center is not None:
             object.__setattr__(self, "center", tuple(self.center))
         if self.kind not in INITIAL_KINDS:
@@ -190,6 +195,9 @@ class Scenario:
     def __post_init__(self):
         for name in ("t_end", "dt_init", "sample_ratio", "stop_linf_atol"):
             setattr(self, name, float(getattr(self, name)))
+        for name in ("eps_reg", "sigma", "sample_start"):
+            if getattr(self, name) is not None:
+                setattr(self, name, float(getattr(self, name)))
         # every test is written so that NaN fails it; math.inf in r_list is the sup norm
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
@@ -444,33 +452,63 @@ class _ImplicitStencil:
         return ab
 
     def factor(self) -> np.ndarray:
-        from scipy.linalg import cholesky_banded
+        """The upper banded Cholesky factor; NonConvergenceError unless positive definite."""
+        pbtrf, _ = _banded_lapack()
+        with _single_blas_thread():
+            factor, info = pbtrf(self.banded(), overwrite_ab=1)
+        if info > 0:
+            raise NonConvergenceError(
+                f"implicit matrix factorization failed: {info}-th leading minor not positive definite"
+            )
+        if info:
+            raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+        return factor
 
-        try:
-            with _single_blas_thread():
-                return cholesky_banded(self.banded(), overwrite_ab=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
-            raise NonConvergenceError(f"implicit matrix factorization failed: {exc}") from exc
+
+@functools.lru_cache(maxsize=None)
+def _banded_lapack():
+    """LAPACK's (dpbtrf, dpbtrs) for doubles, looked up on the first IMEX solve."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    return dpbtrf, dpbtrs
 
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    from scipy.linalg import cho_solve_banded
-
-    return cho_solve_banded((factor, False), rhs, check_finite=False)
+    _, pbtrs = _banded_lapack()
+    x, info = pbtrs(factor, rhs)
+    if info:
+        raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+    return x
 
 
 def _pcg_sweep(stencil, factor, b, x0, atol):
     """CG on the stencil from x0, preconditioned with an earlier sweep's factor.
 
-    None when the residual is not below atol after IMEX_CG_MAX_ITER iterations.
+    The operations and tests of scipy.sparse.linalg.cg (rtol 0, maxiter
+    IMEX_CG_MAX_ITER), in its order, so the iterates are the same bits.  None
+    when the true residual is not below atol at the end.
     """
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    n = b.size
-    mat = LinearOperator((n, n), matvec=stencil.matvec, dtype=float)
-    precond = LinearOperator((n, n), matvec=lambda r: _cho_solve(factor, r), dtype=float)
-    x, _ = cg(mat, b, x0=x0, rtol=0.0, atol=atol, maxiter=IMEX_CG_MAX_ITER, M=precond)
-    # cg reports success for maxiter = 0 without a test, so check the true residual
+    if np.linalg.norm(b) == 0.0:
+        x = b.copy()
+    else:
+        x = x0.copy()
+        r = b - stencil.matvec(x) if x.any() else b.copy()
+        for iteration in range(IMEX_CG_MAX_ITER):
+            if np.linalg.norm(r) < atol:
+                break
+            z = _cho_solve(factor, r)
+            rho = np.dot(r, z)
+            if iteration > 0:
+                p *= rho / rho_prev
+                p += z
+            else:
+                p = z.copy()
+            q = stencil.matvec(p)
+            alpha = rho / np.dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+    # the loop exits on the updated residual, so check the true one
     if np.linalg.norm(b - stencil.matvec(x)) <= atol:
         return x
     return None
@@ -483,16 +521,22 @@ def step_imex(
     coeff: Optional[CoefficientField] = None,
     eps_reg: float = 0.0,
     t: float = 0.0,
+    *,
+    held: Optional[list] = None,
 ) -> ScalarField:
     """Backward Euler diffusion via damped lagged-diffusivity iteration.
 
-    The gradient source is explicit (frozen at time t).  The first sweep
-    factors its matrix by banded Cholesky; later sweeps solve their own
-    matrix by CG preconditioned with that factor, warm-started at the last
-    iterate, to IMEX_CG_FRACTION of the residual tolerance, and re-factor
-    when CG misses it within IMEX_CG_MAX_ITER iterations.  Raises
-    NonConvergenceError on a non-finite diffusivity or solution, a failed
-    factorization, or after IMEX_MAX_ITER sweeps.
+    The gradient source is explicit (frozen at time t).  Each sweep solves its
+    own matrix by CG preconditioned with the banded Cholesky factor of an
+    earlier matrix, warm-started at the last iterate, to IMEX_CG_FRACTION of
+    the residual tolerance; when CG misses that within IMEX_CG_MAX_ITER
+    iterations, or there is no factor yet, the sweep factors its own matrix
+    and solves with it directly.  held, when given, is a one-item list that
+    carries the factor across steps: its item (None at first) preconditions
+    the first sweep, and each new factor is stored back into it.  Without
+    held, the first sweep always factors.  Raises NonConvergenceError on a
+    non-finite diffusivity or solution, a failed factorization, or after
+    IMEX_MAX_ITER sweeps.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -511,7 +555,7 @@ def step_imex(
 
     cur = fld.values
     dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
-    factor = None
+    factor = None if held is None else held[0]
     prev_res = float("inf")
     for _ in range(IMEX_MAX_ITER):
         if not all(np.all(np.isfinite(d)) for d in dfaces):
@@ -522,6 +566,8 @@ def step_imex(
         x = None if factor is None else _pcg_sweep(stencil, factor, flat_b, cur.ravel(), cg_atol)
         if x is None:
             factor = stencil.factor()
+            if held is not None:
+                held[0] = factor
             x = _cho_solve(factor, flat_b)
         if not np.all(np.isfinite(x)):
             raise NonConvergenceError("implicit solve produced non-finite values")
@@ -588,10 +634,15 @@ def _step_size(t: float, dt: float) -> float:
 
 @dataclass
 class _ImexStepper:
-    """step_imex at dt_init, halving dt after each solve that fails to converge."""
+    """step_imex at dt_init, halving dt after each solve that fails to converge.
+
+    held carries the last banded factor from one step_imex call to the next,
+    rejected ones included.
+    """
 
     scenario: Scenario
     rejected: int = 0
+    held: list = dc_field(default_factory=lambda: [None])
 
     def advance(self, u, t, t_target):
         sc = self.scenario
@@ -600,7 +651,9 @@ class _ImexStepper:
         for halvings in range(IMEX_MAX_HALVINGS + 1):
             _step_size(t, dt)
             try:
-                new = step_imex(ScalarField(sc.grid, u), dt, sc.params, sc.coefficient, sc.eps_resolved, t)
+                new = step_imex(
+                    ScalarField(sc.grid, u), dt, sc.params, sc.coefficient, sc.eps_resolved, t, held=self.held
+                )
                 return new.values, (t_target if landing else t + dt)
             except NonConvergenceError:
                 self.rejected += 1

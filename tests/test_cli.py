@@ -277,6 +277,33 @@ def test_integer_and_string_numbers_run_as_their_float_twin(tmp_path, capsys):
         assert type(runs["twin"][key]) is float and runs["twin"][key] == runs["float"][key]
 
 
+EIGEN = {"initial_kind": '"eigenfunction"'}
+SPIKE = {"initial_kind": '"power_spike"', "initial_decay_exponent": "0.5", "initial_nu": "1.0",
+         "initial_nu_prime": "4.0"}
+OPTIONAL_FLOAT_KEYS = {
+    "eps_reg": {**EIGEN, "eps_reg": "1e-3"},
+    "sigma": {**EIGEN, "sigma": "2.0"},
+    "sample_start": {**EIGEN, "sample_start": "1e-5"},
+    "initial_radius": {"initial_kind": '"bump"', "initial_radius": "0.3"},
+    "initial_decay_exponent": SPIKE,
+    "initial_nu": SPIKE,
+    "initial_nu_prime": SPIKE,
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONAL_FLOAT_KEYS))
+def test_numeric_string_in_an_optional_float_key_runs_as_its_float(key, tmp_path, capsys):
+    keys = OPTIONAL_FLOAT_KEYS[key]
+    base = BASE_CFG.replace('initial_kind = "eigenfunction"\n', "")
+    for name, quoted in (("float", False), ("string", True)):
+        lines = [f'{k} = "{v}"' if quoted and k == key else f"{k} = {v}" for k, v in keys.items()]
+        cfg = write_cfg(tmp_path, base + "\n".join(lines) + "\n", f"{name}.cfg")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+    capsys.readouterr()
+    for artifact in ("series.csv", "verification.json"):
+        assert (tmp_path / "float" / artifact).read_bytes() == (tmp_path / "string" / artifact).read_bytes()
+
+
 def test_verify_catches_tampering(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG)
     out = tmp_path / "out"

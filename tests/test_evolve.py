@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import LinearOperator, cg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,9 @@ from decaylab.evolve import (
     NonConvergenceError,
     OverflowDetected,
     Scenario,
+    _ImexStepper,
     _ImplicitStencil,
+    _pcg_sweep,
     detect_extinction,
     make_initial,
     run,
@@ -360,19 +363,24 @@ def test_step_imex_flat_region_without_regularization_is_nonconvergence():
             step_imex(u0, 1e-3, params, eps_reg=0.0)
 
 
+def _count_factorizations(monkeypatch) -> list:
+    factorizations = []
+    real_factor = _ImplicitStencil.factor
+
+    def counting_factor(self):
+        factorizations.append(1)
+        return real_factor(self)
+
+    monkeypatch.setattr(_ImplicitStencil, "factor", counting_factor)
+    return factorizations
+
+
 def test_step_imex_refactor_path_matches(monkeypatch):
     # with no CG budget every sweep re-factors its own matrix and solves directly
     grid = Grid((9, 11), (1.0, 1.2))
     u0 = make_initial(InitialSpec(kind="bump"), grid)
     params = ProblemParams(p=1.8, q=1.0, dim_n=2)
-    factorizations = []
-    real_cholesky = scipy.linalg.cholesky_banded
-
-    def counting_cholesky(*args, **kw):
-        factorizations.append(1)
-        return real_cholesky(*args, **kw)
-
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting_cholesky)
+    factorizations = _count_factorizations(monkeypatch)
     pcg = step_imex(u0, 5e-3, params, eps_reg=1e-4)
     pcg_factorizations = len(factorizations)
     monkeypatch.setattr(evolve, "IMEX_CG_MAX_ITER", 0)
@@ -381,6 +389,124 @@ def test_step_imex_refactor_path_matches(monkeypatch):
     assert 1 <= pcg_factorizations < len(factorizations)
     diff = lr_norm(pcg.values - direct.values, 2.0, grid.quad_weight)
     assert diff <= 2.0 * _imex_tol(u0)
+
+
+def _random_faces(grid: Grid, rng) -> list:
+    faces = []
+    for axis in range(grid.dim):
+        shape = list(grid.shape)
+        shape[axis] += 1
+        faces.append(rng.uniform(0.1, 2.0, size=shape))
+    return faces
+
+
+def _scipy_pcg(stencil, factor, b, x0, atol):
+    """The PCG sweep through scipy's cg, LinearOperator and cho_solve_banded."""
+    n = b.size
+    mat = LinearOperator((n, n), matvec=stencil.matvec, dtype=float)
+    precond = LinearOperator(
+        (n, n), matvec=lambda r: cho_solve_banded((factor, False), r, check_finite=False), dtype=float
+    )
+    x, _ = cg(mat, b, x0=x0, rtol=0.0, atol=atol, maxiter=evolve.IMEX_CG_MAX_ITER, M=precond)
+    return x if np.linalg.norm(b - stencil.matvec(x)) <= atol else None
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 8), (1, 6), (12, 5)])
+@pytest.mark.parametrize("case", ["warm", "x0_zero", "zero_rhs", "misses"])
+def test_pcg_sweep_matches_scipy_cg_bit_for_bit(shape, case):
+    grid = Grid(shape, (1.0,) * len(shape) if len(shape) == 1 else (1.0, 1.3))
+    rng = np.random.default_rng(len(case) + sum(shape))
+    faces = _random_faces(grid, rng)
+    stencil = _ImplicitStencil.assemble(grid, faces, 0.05)
+    # the factor of an earlier, nearby matrix, as step_imex holds it
+    earlier = _ImplicitStencil.assemble(grid, [f * rng.uniform(0.98, 1.02, f.shape) for f in faces], 0.04)
+    factor = earlier.factor()
+    assert np.array_equal(factor, cholesky_banded(earlier.banded()))
+    n = stencil.diag.size
+    b = np.zeros(n) if case == "zero_rhs" else rng.uniform(0.0, 1.0, n)
+    x0 = np.zeros(n) if case == "x0_zero" else b + 1e-3 * rng.standard_normal(n)
+    atol = 1e-300 if case == "misses" else 1e-9
+    want = _scipy_pcg(stencil, factor, b, x0.copy(), atol)
+    x0_before = x0.copy()
+    got = _pcg_sweep(stencil, factor, b, x0, atol)
+    assert np.array_equal(x0, x0_before)
+    if case == "misses":
+        assert want is None and got is None
+    else:
+        assert want is not None and got.tobytes() == want.tobytes()
+    assert evolve._cho_solve(factor, b).tobytes() == cho_solve_banded((factor, False), b).tobytes()
+
+
+def test_non_spd_matrix_is_nonconvergence():
+    stencil = _ImplicitStencil(np.array([1.0, 0.5, 2.0]), ((1, np.array([1.0, 0.0])),))
+    with pytest.raises(NonConvergenceError, match="2-th leading minor not positive definite"):
+        stencil.factor()
+
+
+P_FAST = ProblemParams(p=1.8, q=1.0, dim_n=2)
+
+
+def _imex_scenario(t_end: float) -> Scenario:
+    return _scenario(
+        params=P_FAST, grid=Grid((16, 16), (1.0, 1.0)), initial=InitialSpec(kind="bump"),
+        t_end=t_end, dt_init=2e-3, stepper="imex", sample_ratio=1.5,
+    )
+
+
+def _record_steps(monkeypatch) -> list:
+    """(state, args, the factor handed in, result) of every step_imex call."""
+    steps, real_step = [], evolve.step_imex
+
+    def recording_step(fld, *args, held):
+        stale = held[0]
+        new = real_step(fld, *args, held=held)
+        steps.append((fld, args, stale, new))
+        return new
+
+    monkeypatch.setattr(evolve, "step_imex", recording_step)
+    return steps
+
+
+def _fresh_step_agrees(fld, args, new) -> bool:
+    fresh = step_imex(fld, *args)
+    return lr_norm(new.values - fresh.values, 2.0, fld.grid.quad_weight) <= 2.0 * _imex_tol(fld)
+
+
+def test_run_holds_the_imex_factor_across_steps(monkeypatch):
+    factorizations = _count_factorizations(monkeypatch)
+    steps = _record_steps(monkeypatch)
+    result = run(_imex_scenario(0.1))
+    monkeypatch.undo()
+    assert result.steps_rejected == 0 and result.steps_accepted == len(steps)
+    assert 3 * len(factorizations) <= result.steps_accepted
+    assert steps[0][2] is None and all(stale is not None for _, _, stale, _ in steps[1:])
+    for fld, args, _, new in steps:
+        assert _fresh_step_agrees(fld, args, new)
+
+
+def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
+    stepper = _ImexStepper(_imex_scenario(1.0))
+    u, t = make_initial(stepper.scenario.initial, stepper.scenario.grid).values, 0.0
+    for _ in range(3):
+        u, t = stepper.advance(u, t, 1.0)
+    stale = stepper.held[0]
+    steps = _record_steps(monkeypatch)
+    recording_step, failed = evolve.step_imex, []
+
+    def failing_once(fld, *args, held):
+        if not failed:
+            failed.append(args[0])
+            raise NonConvergenceError("forced")
+        return recording_step(fld, *args, held=held)
+
+    monkeypatch.setattr(evolve, "step_imex", failing_once)
+    new, t_new = stepper.advance(u, t, 1.0)
+    monkeypatch.undo()
+    assert stepper.rejected == 1 and failed == [2e-3]
+    assert t_new == t + 1e-3
+    [(fld, args, handed, got)] = steps
+    assert handed is stale and args[0] == 1e-3 and got.values is new
+    assert _fresh_step_agrees(fld, args, got)
 
 
 def test_step_imex_2d_nonlinear_matches_dense_picard():

@@ -18,14 +18,18 @@ thread, every config below from this repository:
 
 Every file the two trees write is compared byte for byte, and so is each
 command's exit code.  In sweep_summary.json the output root is replaced by a
-placeholder first, so its paths never count.  Only the standard library is
-used.  Exit status: 0 when everything is identical, 1 when anything differs,
-2 on a usage error.
+placeholder first, so its paths never count.  For each series.csv that
+differs, the largest relative deviation |a - b| / max(|a|, |b|) over the
+columns both files share is printed too, with the row and column where it
+occurs.  Only the standard library is used.  Exit status: 0 when everything
+is identical, 1 when anything differs, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import math
 import os
 import re
 import shutil
@@ -143,6 +147,30 @@ def run_tree(src: Path, out: Path, plan) -> dict:
     return codes
 
 
+def series_deviation(old: Path, new: Path) -> str:
+    """The largest relative deviation between two series.csv files, and where it is."""
+    tables = []
+    for path in (old, new):
+        with open(path, newline="") as handle:
+            tables.append(list(csv.reader(handle)))
+    (head_a, *rows_a), (head_b, *rows_b) = tables
+    shared = [(head_a.index(c), head_b.index(c), c) for c in head_a if c in head_b]
+    worst, where = 0.0, "nowhere"
+    for row, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
+        for i, j, column in shared:
+            if ra[i] == rb[j]:
+                continue
+            a, b = float(ra[i]), float(rb[j])
+            scale = max(abs(a), abs(b))
+            if not (math.isfinite(a) and math.isfinite(b)):
+                dev = math.inf
+            else:
+                dev = abs(a - b) / scale if scale else 0.0
+            if dev > worst:
+                worst, where = dev, f"row {row} ({head_a[0]} = {ra[0]}), column {column}"
+    return f"max rel dev {worst:.3e} at {where}; {len(rows_a)} rows -> {len(rows_b)}"
+
+
 def files(root: Path) -> set:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
@@ -171,6 +199,8 @@ def main(argv=None) -> int:
                 differ.append(f"only in {'old' if rel in old_files else 'new'}: {rel}")
             elif (outs["old"] / rel).read_bytes() != (outs["new"] / rel).read_bytes():
                 differ.append(f"differs: {rel}")
+                if rel.name == "series.csv":
+                    differ[-1] += f": {series_deviation(outs['old'] / rel, outs['new'] / rel)}"
         for line in differ:
             print(line)
         print(f"{len(old_files | new_files)} files compared, {len(differ)} differences")

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import CoefficientField, FluxKernel, Grid, ScalarField, _halves, _power, read_field_csv
+from .field import CoefficientField, FluxKernel, Grid, ScalarField, _aligned_buffers, _power, read_field_csv
 from .metrics import NormSeries, _power_sum, lr_norm, truncate_excess
 from .regime import ProblemParams, classify
 
@@ -287,7 +287,7 @@ class _ExplicitStepper:
         self.params, self.coeff, self.eps_reg = params, coeff, eps_reg
         h_min = min(grid.spacing)
         self._cfl = (CFL_SAFETY * h_min * h_min, 2.0 * grid.dim)
-        self._source = np.empty(grid.shape)
+        self._source = _aligned_buffers([math.prod(grid.shape)])[0].reshape(grid.shape)
         self._values, self._t, self._grad_mag = None, 0.0, None
         self._last = (None, None)
 
@@ -305,7 +305,7 @@ class _ExplicitStepper:
             stable = float("inf")
         if params.gamma > 0.0:
             grad_mag = self._grad_mag = kernel.nodal_magnitude()
-            source_max = params.gamma * float(np.max(grad_mag, initial=0.0)) ** params.q
+            source_max = params.gamma * float(grad_mag.max()) ** params.q
             if source_max > 0.0:
                 if sup is None:
                     sup = float(np.max(np.abs(values, out=self._source), initial=0.0))
@@ -314,15 +314,15 @@ class _ExplicitStepper:
 
     def update(self, dt: float) -> tuple:
         """(values + dt * rhs, its sup norm); OverflowDetected past the sentinel."""
-        params = self.params
+        params, work = self.params, self._source
         rhs = self.kernel.divergence()
         if params.gamma > 0.0:
-            source = _power(self._grad_mag, params.q, out=self._source)
+            source = _power(self._grad_mag, params.q, out=work)
             np.multiply(source, params.gamma, out=source)
-            np.add(rhs, source, out=rhs)
-        np.multiply(rhs, dt, out=rhs)
-        new = self._values + rhs
-        return new, _check_overflow(new, self._t + dt, work=self._source)
+            rhs = np.add(rhs, source, out=work)
+        np.multiply(rhs, dt, out=work)
+        new = self._values + work
+        return new, _check_overflow(new, self._t + dt, work=work)
 
     def advance(self, u, t, t_target):
         last, sup = self._last
@@ -407,6 +407,15 @@ def _single_blas_thread():
         yield
     finally:
         put(before)
+
+
+def _halves(faces: np.ndarray, axis: int) -> tuple:
+    """(faces[1:], faces[:-1]) along axis: the faces after and before each node."""
+    hi = [slice(None)] * faces.ndim
+    lo = [slice(None)] * faces.ndim
+    hi[axis] = slice(1, None)
+    lo[axis] = slice(0, -1)
+    return faces[tuple(hi)], faces[tuple(lo)]
 
 
 @dataclass(frozen=True)

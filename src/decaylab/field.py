@@ -9,10 +9,14 @@ geometric cell volume telescopes exactly to the net boundary flux.
 Every grid routine here (coordinates, the operator, snapshot I/O) is written
 once, as a loop over the axes; only Grid checks that a grid is 1D or 2D.
 All of the operator runs through one FluxKernel per grid.  It holds the state
-in a zero-bordered padded buffer and computes the face gradients, the face
-mobility, the nodal |grad u| and the divergence with in-place ufuncs in its
-own arrays, so a time stepper that keeps one kernel for a run allocates only
-the new state per step.  The public functions below use a kernel of their own.
+in one flat, zero-bordered padded buffer and computes the face gradients, the
+face mobility, the nodal |grad u| and the divergence with in-place ufuncs,
+each over one contiguous range of that flat index space and into its own
+64-byte-aligned arrays, so a time stepper that keeps one kernel for a run
+allocates only the new state per step.  In 2D the ranges cross the border
+columns; those lanes are computed and never read, and every result is a
+strided view of the real faces or nodes.  The public functions below use a
+kernel of their own.
 """
 
 from __future__ import annotations
@@ -159,48 +163,83 @@ def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
 class FluxKernel:
     """The regularized flux operator of one grid, evaluated in preallocated arrays.
 
-    load(values) copies a state into a zero-bordered padded buffer (the
-    Dirichlet zeros around the interior nodes) and forms, per axis, the normal
-    gradient and the squared full gradient on that axis's faces;
+    The state lives in one flat padded buffer: the interior nodes with a
+    border of Dirichlet zeros, (n0+2)(n1+2) doubles in C order (n+2 in 1D).
+    A face normal to an axis is indexed there by the node below it, and a
+    node's neighbours sit at fixed offsets: +-stride along each axis, and the
+    corner nodes of a tangential difference at +-stride+-1.  So each face
+    quantity of an axis (gradient, tangential term, squared magnitude,
+    mobility, flux) is one ufunc over one contiguous index range, from the
+    axis's first real face to its last, and each node quantity (|grad u|,
+    divergence) likewise over the range from the first real node to the
+    last.  Every real face and node gets the floating-point operations, in
+    the order, of the per-axis formulas.
+
+    In 2D those ranges also cross the border columns.  Their lanes are
+    computed but never read: a border face lies between two zero nodes, so
+    its gradient is zero and, with eps_reg = 0 and p < 2, its mobility is
+    infinite and its flux NaN.  Maxima, the finiteness check and every
+    returned array see only the real faces and nodes, through strided views
+    of face or grid shape.
+
+    Every buffer is carved from one slab per kernel and starts on a
+    64-byte boundary, so the contiguous passes run on aligned output
+    whatever the process allocated before.
+
+    load(values) copies a state into the padded buffer and forms, per axis,
+    the normal gradient and the squared full gradient on that axis's faces;
     mobility(), nodal_magnitude() and divergence() read them.  Every result
-    is one of the kernel's own arrays and the next call that computes it
+    is a view of the kernel's own arrays and the next call that computes it
     overwrites it, so a caller that keeps a result copies it.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._spacing = grid.spacing
-        dim = grid.dim
-        padded = np.zeros(tuple(n + 2 for n in grid.shape))
-        self._interior = padded[(slice(1, -1),) * dim]
-        faces = [tuple(n + (a == axis) for a, n in enumerate(grid.shape)) for axis in range(dim)]
-        self._grad = [np.empty(shape) for shape in faces]
-        self._mag2 = [np.empty(shape) for shape in faces]
-        self._mob = [np.empty(shape) for shape in faces]
-        self._face_work = [np.empty(shape) for shape in faces]  # tangential gradient, then flux
-        self._nodal = np.empty(grid.shape)
-        self._div = np.empty(grid.shape)
-        self._node_work = np.empty(grid.shape)
+        dim, shape = grid.dim, grid.shape
+        padded = tuple(n + 2 for n in shape)
+        strides = [math.prod(padded[a + 1:]) for a in range(dim)]
+        faces = [tuple(n + (a == axis) for a, n in enumerate(shape)) for axis in range(dim)]
+        # the flat index ranges, from the first real face or node to the last
+        first_face = [sum(strides) - s for s in strides]
+        face_len = [sum((n - 1) * s for n, s in zip(f, strides)) + 1 for f in faces]
+        node_len = sum((n - 1) * s for n, s in zip(shape, strides)) + 1
 
-        def view(shifts: dict) -> np.ndarray:
-            """The padded buffer over the interior nodes, shifted on the axes in shifts."""
-            return padded[tuple(shifts.get(a, slice(1, -1)) for a in range(dim))]
+        self._buffers = _aligned_buffers(
+            [math.prod(padded)] + [n for n in face_len for _ in range(4)] + [node_len] * 3
+        )
+        state, face_bufs = self._buffers[0], self._buffers[1:-3]
+        self._nodal, self._div, self._node_work = self._buffers[-3:]
+        state.fill(0.0)  # the Dirichlet border
+        self._interior = state.reshape(padded)[(slice(1, -1),) * dim]
+        # per axis; face_work holds the tangential term, then the flux
+        self._grad, self._mag2, self._mob, self._face_work = (face_bufs[k::4] for k in range(4))
+        # the real faces and nodes: views with the padded state's strides
+        byte_strides = tuple(8 * s for s in strides)
+        self._grad_faces = [np.ndarray(f, buffer=g, strides=byte_strides) for g, f in zip(self._grad, faces)]
+        self._mob_faces = [np.ndarray(f, buffer=m, strides=byte_strides) for m, f in zip(self._mob, faces)]
+        self._nodal_nodes = np.ndarray(shape, buffer=self._nodal, strides=byte_strides)
+        self._div_nodes = np.ndarray(shape, buffer=self._div, strides=byte_strides)
 
-        up, down, ahead, behind = slice(1, None), slice(None, -1), slice(2, None), slice(None, -2)
+        def shifted(axis: int, offset: int) -> np.ndarray:
+            """The state over axis's face range, offset entries on."""
+            start = first_face[axis] + offset
+            return state[start : start + face_len[axis]]
+
         # per axis: the nodes above and below each face, and per other axis the
-        # four corner blocks of the tangential difference with its divisor
+        # four corner nodes of the tangential difference with its divisor
         self._stencils = [
-            (view({axis: up}), view({axis: down}), [
-                (view({axis: up, other: ahead}), view({axis: up, other: behind}),
-                 view({axis: down, other: ahead}), view({axis: down, other: behind}),
+            (shifted(axis, s), shifted(axis, 0), [
+                (shifted(axis, s + so), shifted(axis, s - so), shifted(axis, so), shifted(axis, -so),
                  4.0 * self._spacing[other])
-                for other in range(dim) if other != axis
+                for other, so in enumerate(strides) if other != axis
             ])
-            for axis in range(dim)
+            for axis, s in enumerate(strides)
         ]
-        # (upper, lower) halves along the face axis: face values either side of each node
-        self._grad_halves = [_halves(g, axis) for axis, g in enumerate(self._grad)]
-        self._flux_halves = [_halves(f, axis) for axis, f in enumerate(self._face_work)]
+        # per axis, the faces above and below each node: the lower face of the
+        # first node (flat index sum(strides)) is the axis's first face
+        self._grad_halves = [(g[s : s + node_len], g[:node_len]) for g, s in zip(self._grad, strides)]
+        self._flux_halves = [(f[s : s + node_len], f[:node_len]) for f, s in zip(self._face_work, strides)]
 
     def load(self, values: np.ndarray) -> None:
         """Face components of a state: grad = (u+ - u-)/h, mag2 = grad^2 + tangential^2."""
@@ -222,20 +261,20 @@ class FluxKernel:
 
     def mobility(self, coeff: Optional[CoefficientField], p: float, eps_reg: float, t: float) -> list:
         """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces; None is A = 1."""
-        for axis, (m2, m) in enumerate(zip(self._mag2, self._mob)):
-            if p == 2.0:
-                m.fill(1.0)
-            else:
-                np.add(m2, eps_reg * eps_reg, out=m)
-                with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore"):
+            for axis, (m2, m, faces) in enumerate(zip(self._mag2, self._mob, self._mob_faces)):
+                if p == 2.0:
+                    m.fill(1.0)
+                else:
+                    np.add(m2, eps_reg * eps_reg, out=m)
                     _power(m, (p - 2.0) / 2.0, out=m)
-            if coeff is not None and coeff.kind != "identity":
-                np.multiply(coeff.face_values(self.grid, axis, t), m, out=m)
-        return self._mob
+                if coeff is not None and coeff.kind != "identity":
+                    np.multiply(coeff.face_values(self.grid, axis, t), faces, out=faces)
+        return self._mob_faces
 
     def max_mobility(self) -> float:
         """The largest face mobility of the last mobility() call."""
-        return max(float(np.max(m, initial=0.0)) for m in self._mob)
+        return max(float(m.max()) for m in self._mob_faces)
 
     def nodal_magnitude(self) -> np.ndarray:
         """Nodal |grad u|: per axis the average of the two adjacent face gradients."""
@@ -247,33 +286,41 @@ class FluxKernel:
             np.multiply(part, part, out=part)
             if axis > 0:
                 np.add(out, part, out=out)
-        return np.sqrt(out, out=out)
+        np.sqrt(out, out=out)
+        return self._nodal_nodes
 
     def divergence(self) -> np.ndarray:
         """Conservative divergence of the face fluxes mobility * normal gradient."""
         div, work = self._div, self._node_work
         div.fill(0.0)
-        for axis, (flux, (hi, lo)) in enumerate(zip(self._face_work, self._flux_halves)):
-            with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # 0 * inf on a degenerate face
+            for axis, (flux, (hi, lo)) in enumerate(zip(self._face_work, self._flux_halves)):
                 np.multiply(self._mob[axis], self._grad[axis], out=flux)
-            np.subtract(hi, lo, out=work)
-            np.divide(work, self._spacing[axis], out=work)
-            np.add(div, work, out=div)
-        if not np.isfinite(div).all():
+                np.subtract(hi, lo, out=work)
+                np.divide(work, self._spacing[axis], out=work)
+                np.add(div, work, out=div)
+        if not np.isfinite(self._div_nodes).all():
             raise ValueError(
                 "non-finite flux divergence: degenerate zero-gradient face with "
                 "eps_reg = 0 and p < 2; pass eps_reg > 0"
             )
-        return div
+        return self._div_nodes
 
 
-def _halves(faces: np.ndarray, axis: int) -> tuple:
-    """(faces[1:], faces[:-1]) along axis: the faces after and before each node."""
-    hi = [slice(None)] * faces.ndim
-    lo = [slice(None)] * faces.ndim
-    hi[axis] = slice(1, None)
-    lo[axis] = slice(0, -1)
-    return faces[tuple(hi)], faces[tuple(lo)]
+_ALIGN = 64  # bytes: a cache line, and the widest SIMD register
+
+
+def _aligned_buffers(sizes: list) -> list:
+    """Uninitialized float64 arrays of the given sizes from one slab, each on a 64-byte boundary."""
+    per_line = _ALIGN // 8
+    lines = [-(-n // per_line) * per_line for n in sizes]
+    slab = np.empty(sum(lines) + per_line)
+    start = -slab.ctypes.data % _ALIGN // 8
+    buffers = []
+    for n, span in zip(sizes, lines):
+        buffers.append(slab[start : start + n])
+        start += span
+    return buffers
 
 
 def _loaded(fld: ScalarField) -> FluxKernel:
@@ -284,7 +331,7 @@ def _loaded(fld: ScalarField) -> FluxKernel:
 
 def gradient(fld: ScalarField) -> tuple:
     """Face-normal difference quotients per axis, Dirichlet zeros outside."""
-    return tuple(_loaded(fld)._grad)
+    return tuple(_loaded(fld)._grad_faces)
 
 
 def face_diffusivities(fld: ScalarField, p: float, eps_reg: float) -> list:

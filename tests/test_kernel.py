@@ -9,6 +9,8 @@ order, so every comparison is np.array_equal, not a tolerance.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from decaylab.evolve import (
 )
 from decaylab.field import (
     CoefficientField,
+    FluxKernel,
     Grid,
     ScalarField,
     face_diffusivities,
@@ -232,7 +235,7 @@ def _data(shape, kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "zero":
         return np.zeros(shape)
-    values = rng.uniform(0.0, 2.0, size=shape)
+    values = rng.uniform(-2.0 if kind == "signed" else 0.0, 2.0, size=shape)
     if kind == "flat_patch":
         values[tuple(slice(0, (n + 1) // 2) for n in shape)] = 0.0
     return values
@@ -242,7 +245,7 @@ def _data(shape, kind, seed):
 @given(
     shape=_SHAPES,
     lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
-    kind=st.sampled_from(["random", "flat_patch", "zero"]),
+    kind=st.sampled_from(["random", "signed", "flat_patch", "zero"]),
     seed=st.integers(0, 2**16),
     coeff_kind=st.sampled_from(sorted(COEFFICIENTS)),
     p=_EXPONENTS,
@@ -270,6 +273,41 @@ def test_kernel_matches_the_pad_formulas(shape, lengths, kind, seed, coeff_kind,
     dt = want_dt if 0.0 < want_dt < 1.0 else 1e-3
     got = _outcome(lambda: step_explicit(fld, dt, params, coeff, eps_reg, t).values)
     assert _same(got, _outcome(lambda: update(dt)))
+
+
+def test_border_lanes_never_reach_a_result():
+    # eps_reg = 0 and p < 2: a face with zero full gradient has infinite
+    # mobility.  Every real face here has a non-zero normal gradient, but the
+    # alternating signs down the columns next to the boundary cancel the
+    # tangential term on the border lanes between them, so the flat layout's
+    # border lanes get infinite mobility and a NaN flux.  The first column
+    # is also the largest, so the border lanes beside it hold a larger nodal
+    # |grad u| than any real node, and the source cap sets dt.
+    shape = (6, 5)
+    grid = Grid(shape, (2.0, 0.5))
+    rows, cols = np.indices(shape)
+    values = np.where((rows + cols) % 2 == 0, 1.0, -1.0) * (2.0 - 0.25 * cols)
+    fld = ScalarField(grid, values)
+    params = ProblemParams(p=1.5, q=1.5, dim_n=3, gamma=5.0)
+    comps = ref_face_components(values, grid.spacing)
+    assert all(np.all(g != 0.0) for g, _ in comps)
+    kernel = FluxKernel(grid)
+    kernel.load(values)
+    kernel.mobility(None, params.p, 0.0, 0.0)
+    assert not np.all(np.isfinite(kernel._mob[1]))  # the lanes this case is about
+    real_max = kernel.nodal_magnitude().max()
+    assert kernel._nodal.max() > real_max
+
+    want_dt, update = ref_explicit_step(values, grid, params, CoefficientField.identity(), 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_dt = stable_dt(fld, params, eps_reg=0.0)
+        got = step_explicit(fld, 0.5 * got_dt, params, eps_reg=0.0).values
+        div = p_flux_divergence(fld, CoefficientField.identity(), params.p, 0.0).values
+    assert math.isfinite(got_dt) and got_dt > 0.0
+    assert _same(got_dt, want_dt)
+    assert _same(got, update(0.5 * want_dt))
+    assert _same(div, ref_divergence(comps, ref_face_mobility(comps, grid, None, params.p, 0.0, 0.0), grid))
 
 
 @pytest.mark.parametrize("shape, coeff_kind, p, gamma, dt", [
@@ -371,6 +409,36 @@ def test_returned_states_are_not_overwritten_by_later_steps():
         states.append((u, u.copy()))
     assert all(np.array_equal(a, b) for a, b in states)
     assert len({id(a) for a, _ in states}) == len(states)
+
+
+@pytest.mark.parametrize("shape", [(1,), (9,), (1, 1), (1, 7), (7, 1), (6, 5), (64, 64)])
+def test_kernel_buffers_are_64_byte_aligned(shape):
+    grid = Grid(shape, (1.0,) * len(shape))
+    # odd-sized allocations first shift where the allocator puts the next array
+    # (an import that allocates does the same)
+    before = [np.empty(n) for n in (1, 3, 5, 7, 33)]
+    for _ in range(3):
+        kernel = FluxKernel(grid)
+        assert len(kernel._buffers) == 4 + 4 * grid.dim  # state, 4 per axis's faces, 3 on nodes
+        assert [b.ctypes.data % 64 for b in kernel._buffers] == [0] * len(kernel._buffers)
+        before.append(np.empty(3))
+
+
+def test_explicit_steps_allocate_only_the_new_state():
+    grid = Grid((32, 32), (1.0, 1.0))
+    params = ProblemParams(p=1.9, q=1.5, dim_n=3, gamma=0.1)
+    stepper = _ExplicitStepper(grid, params, CoefficientField.identity(), 1e-4)
+    u, t = _data(grid.shape, "random", 11), 0.0
+    state_bytes = u.nbytes
+    tracemalloc.start()
+    try:
+        for _ in range(50):
+            u, t = stepper.advance(u, t, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the state the loop holds and the new one, plus small temporaries
+    assert peak < 3 * state_bytes
 
 
 def test_run_snapshots_equal_an_independent_rerun():

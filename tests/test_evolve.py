@@ -454,13 +454,13 @@ def _imex_scenario(t_end: float) -> Scenario:
 
 
 def _record_steps(monkeypatch) -> list:
-    """(state, args, the factor handed in, result) of every step_imex call."""
+    """(state, args, the factor handed in, result, kernel) of every step_imex call."""
     steps, real_step = [], evolve.step_imex
 
-    def recording_step(fld, *args, held):
+    def recording_step(fld, *args, held, kernel):
         stale = held[0]
-        new = real_step(fld, *args, held=held)
-        steps.append((fld, args, stale, new))
+        new = real_step(fld, *args, held=held, kernel=kernel)
+        steps.append((fld, args, stale, new, kernel))
         return new
 
     monkeypatch.setattr(evolve, "step_imex", recording_step)
@@ -479,9 +479,33 @@ def test_run_holds_the_imex_factor_across_steps(monkeypatch):
     monkeypatch.undo()
     assert result.steps_rejected == 0 and result.steps_accepted == len(steps)
     assert 3 * len(factorizations) <= result.steps_accepted
-    assert steps[0][2] is None and all(stale is not None for _, _, stale, _ in steps[1:])
-    for fld, args, _, new in steps:
+    assert steps[0][2] is None and all(stale is not None for _, _, stale, _, _ in steps[1:])
+    assert len({id(kernel) for *_, kernel in steps}) == 1
+    for fld, args, _, new, _ in steps:
         assert _fresh_step_agrees(fld, args, new)
+
+
+def test_later_sweeps_stop_cg_at_a_fraction_of_the_outer_residual(monkeypatch):
+    # the c4-like run applies the factor 761 times (1,567 with every sweep at the first one's stop)
+    factorizations = _count_factorizations(monkeypatch)
+    solves, real_solve = [], evolve._cho_solve
+
+    def counting_solve(factor, rhs):
+        solves.append(1)
+        return real_solve(factor, rhs)
+
+    monkeypatch.setattr(evolve, "_cho_solve", counting_solve)
+    steps = _record_steps(monkeypatch)
+    result = run(_imex_scenario(0.1))
+    monkeypatch.undo()
+    assert result.steps_rejected == 0 and result.steps_accepted == len(steps) == 68
+    assert len(solves) <= 900 and len(factorizations) <= 16
+    # every accepted state meets the outer test, recomputed without the stepper's kernel
+    for fld, (dt, params, coeff, eps, t), _, new, _ in steps:
+        assert params.gamma == 0.0  # no source: the right-hand side is the old state
+        div = p_flux_divergence(new, coeff, params.p, eps, t + dt).values
+        res = lr_norm(new.values - dt * div - fld.values, 2.0, fld.grid.quad_weight)
+        assert res < _imex_tol(fld)
 
 
 def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
@@ -493,19 +517,19 @@ def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
     steps = _record_steps(monkeypatch)
     recording_step, failed = evolve.step_imex, []
 
-    def failing_once(fld, *args, held):
+    def failing_once(fld, *args, held, kernel):
         if not failed:
             failed.append(args[0])
             raise NonConvergenceError("forced")
-        return recording_step(fld, *args, held=held)
+        return recording_step(fld, *args, held=held, kernel=kernel)
 
     monkeypatch.setattr(evolve, "step_imex", failing_once)
     new, t_new = stepper.advance(u, t, 1.0)
     monkeypatch.undo()
     assert stepper.rejected == 1 and failed == [2e-3]
     assert t_new == t + 1e-3
-    [(fld, args, handed, got)] = steps
-    assert handed is stale and args[0] == 1e-3 and got.values is new
+    [(fld, args, handed, got, kernel)] = steps
+    assert handed is stale and args[0] == 1e-3 and got.values is new and kernel is stepper.kernel
     assert _fresh_step_agrees(fld, args, got)
 
 

@@ -21,6 +21,7 @@ from decaylab import evolve
 from decaylab.evolve import (
     CFL_SAFETY,
     IMEX_CG_FRACTION,
+    IMEX_CG_FORCING,
     IMEX_MAX_ITER,
     IMEX_RTOL,
     OVERFLOW_SENTINEL,
@@ -192,6 +193,7 @@ def ref_step_imex(fld, dt, params, coeff, eps_reg, t):
             dfaces = ref_face_mobility(ref_face_components(x, grid.spacing), grid, coeff, p, eps_reg, t_new)
         cur = x
         prev_res = res
+        cg_atol = IMEX_CG_FORCING * res / math.sqrt(grid.quad_weight)
     raise NonConvergenceError("no convergence")
 
 

@@ -20,15 +20,20 @@ overflow (sup norm past 1e12) or on an optional extinction floor, and
 returns in RunResult.metadata the `run` block of metadata.json, less the
 RunResult fields and the sample count.
 
-scipy is imported only inside the IMEX solver functions, so a process that
-takes no IMEX step never loads it; they call LAPACK's dpbtrf and dpbtrs
-directly.
+The IMEX solver calls LAPACK's dpbtrf and dpbtrs directly.  It takes them
+from scipy's f2py wrapper extension, scipy.linalg._flapack, which _flapack()
+loads from its file on the first IMEX solve.  That extension needs only
+numpy, so the scipy package itself (whose scipy.linalg costs about 0.2 s and
+85 modules to import) is never imported, and a process that takes no IMEX step
+loads nothing of scipy at all.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -378,13 +383,11 @@ def step_explicit(
 
 @functools.lru_cache(maxsize=None)
 def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS behind scipy.linalg, or None."""
+    """(get, set) for the thread count of the OpenBLAS behind _flapack(), or None."""
     import ctypes
 
     try:
-        from scipy.linalg import _flapack
-
-        lib = ctypes.CDLL(_flapack.__file__)
+        lib = ctypes.CDLL(_flapack().__file__)
     except (ImportError, OSError):
         return None
     for prefix in ("scipy_openblas", "openblas"):
@@ -483,11 +486,41 @@ class _ImplicitStencil:
 
 
 @functools.lru_cache(maxsize=None)
-def _banded_lapack():
-    """LAPACK's (dpbtrf, dpbtrs) for doubles, looked up on the first IMEX solve."""
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+def _flapack():
+    """scipy.linalg._flapack, loaded from its file without importing scipy.
 
-    return dpbtrf, dpbtrs
+    find_spec locates the scipy package without running its __init__.  The
+    module is registered under its own name, so a later `import scipy.linalg`
+    uses it; if scipy.linalg came first, its module object is the one kept.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the IMEX solver needs scipy, which is not installed")
+    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no scipy.linalg._flapack extension in {linalg}")
+    name = "scipy.linalg._flapack"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
+
+
+@functools.lru_cache(maxsize=None)
+def _banded_lapack():
+    """LAPACK's (dpbtrf, dpbtrs) for doubles, from _flapack() on the first IMEX solve.
+
+    The wrappers are the ones scipy.linalg.lapack exports; loading them
+    through scipy.linalg would import the whole package for two routines.
+    """
+    return _flapack().dpbtrf, _flapack().dpbtrs
 
 
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -154,15 +154,25 @@ def _config_int(value, key: str) -> int:
     return value
 
 
+def _config_list(cfg: dict, key: str):
+    """A list-valued key's list, or None when unset; a string or a number there is an error."""
+    value = cfg[key]
+    if value is not None and not isinstance(value, list):
+        raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+    return value
+
+
 def build_scenario(cfg: dict, seed_override=None) -> Scenario:
     """The scenario of a config: one Grid, and each dataclass given its keys by field name."""
     for key in REQUIRED_FOR_RUN:
         if cfg.get(key) is None:
             raise ValueError(f"config is missing required key {key!r}")
+    for key in ("snapshot_times", "k_levels", "r_list", "initial_center"):
+        _config_list(cfg, key)
     n = cfg["grid_n"]
     shape = tuple(_config_int(x, "grid_n") for x in (n if isinstance(n, list) else [n]))
     lengths = cfg["domain_lengths"]
-    if isinstance(lengths, (int, float)):
+    if not isinstance(lengths, list):
         lengths = [lengths] * len(shape)
     grid = Grid(shape, tuple(float(l) for l in lengths))
     params = ProblemParams(
@@ -375,9 +385,9 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     out_root = _resolve_out_dir(args.out, cfg)
-    ps = cfg["sweep_p"] if cfg["sweep_p"] else [cfg["p"]]
-    qs = cfg["sweep_q"] if cfg["sweep_q"] else [cfg["q"]]
-    gammas = cfg["sweep_gamma"] if cfg["sweep_gamma"] else [cfg["gamma"]]
+    ps = _config_list(cfg, "sweep_p") or [cfg["p"]]
+    qs = _config_list(cfg, "sweep_q") or [cfg["q"]]
+    gammas = _config_list(cfg, "sweep_gamma") or [cfg["gamma"]]
     tasks, cells = [], {}
     for p, q, gamma in product(ps, qs, gammas):
         name, cell = f"p{p:g}_q{q:g}_gamma{gamma:g}", f"(p={p!r}, q={q!r}, gamma={gamma!r})"

@@ -295,7 +295,7 @@ class _ExplicitStepper:
 
     rejected = 0
 
-    def __init__(self, grid: Grid, params: ProblemParams, coeff, eps_reg: float):
+    def __init__(self, grid: Grid, params: ProblemParams, coeff: CoefficientField, eps_reg: float):
         self.kernel = FluxKernel(grid)
         self.params, self.coeff, self.eps_reg = params, coeff, eps_reg
         h_min = min(grid.spacing)
@@ -357,7 +357,7 @@ def _check_overflow(values: np.ndarray, t: float, work: Optional[np.ndarray] = N
 def stable_dt(
     fld: ScalarField,
     params: ProblemParams,
-    coeff: Optional[CoefficientField] = None,
+    coeff: CoefficientField = CoefficientField(),
     eps_reg: float = 0.0,
     t: float = 0.0,
 ) -> float:
@@ -369,7 +369,7 @@ def step_explicit(
     fld: ScalarField,
     dt: float,
     params: ProblemParams,
-    coeff: Optional[CoefficientField] = None,
+    coeff: CoefficientField = CoefficientField(),
     eps_reg: float = 0.0,
     t: float = 0.0,
 ) -> ScalarField:
@@ -473,9 +473,8 @@ class _ImplicitStencil:
 
     def factor(self) -> np.ndarray:
         """The upper banded Cholesky factor; NonConvergenceError unless positive definite."""
-        pbtrf, _ = _banded_lapack()
         with _single_blas_thread():
-            factor, info = pbtrf(self.banded(), overwrite_ab=1)
+            factor, info = _flapack().dpbtrf(self.banded(), overwrite_ab=1)
         if info > 0:
             raise NonConvergenceError(
                 f"implicit matrix factorization failed: {info}-th leading minor not positive definite"
@@ -513,19 +512,8 @@ def _flapack():
     return sys.modules.setdefault(name, module)
 
 
-@functools.lru_cache(maxsize=None)
-def _banded_lapack():
-    """LAPACK's (dpbtrf, dpbtrs) for doubles, from _flapack() on the first IMEX solve.
-
-    The wrappers are the ones scipy.linalg.lapack exports; loading them
-    through scipy.linalg would import the whole package for two routines.
-    """
-    return _flapack().dpbtrf, _flapack().dpbtrs
-
-
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    _, pbtrs = _banded_lapack()
-    x, info = pbtrs(factor, rhs)
+    x, info = _flapack().dpbtrs(factor, rhs)
     if info:
         raise ValueError(f"dpbtrs: illegal value in argument {-info}")
     return x
@@ -568,7 +556,7 @@ def step_imex(
     fld: ScalarField,
     dt: float,
     params: ProblemParams,
-    coeff: Optional[CoefficientField] = None,
+    coeff: CoefficientField = CoefficientField(),
     eps_reg: float = 0.0,
     t: float = 0.0,
     *,
@@ -808,15 +796,14 @@ def run(scenario: Scenario) -> RunResult:
     )
 
 
-def detect_extinction(series: NormSeries, tol: Optional[float] = None) -> Optional[float]:
+def detect_extinction(series: NormSeries) -> Optional[float]:
     """Earliest sample time from which the sup norm stays at or below tol.
 
-    tol defaults to 1e-9 times the initial sup norm.  None when the series
-    never settles below tol (including at its final sample).
+    tol is 1e-9 times the initial sup norm.  None when the series never
+    settles below tol (including at its final sample).
     """
     linf = series.column("linf")
-    if tol is None:
-        tol = 1e-9 * float(linf[0])
+    tol = 1e-9 * float(linf[0])
     if linf[-1] > tol:
         return None
     above = np.where(linf > tol)[0]

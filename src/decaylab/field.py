@@ -139,10 +139,6 @@ class CoefficientField:
         if self.kind != "identity" and self.fn is None:
             raise ValueError(f"coefficient kind {self.kind!r} needs a callable")
 
-    @classmethod
-    def identity(cls) -> "CoefficientField":
-        return cls()
-
     def face_values(self, grid: Grid, axis: int, t: float = 0.0):
         if self.kind == "identity":
             return 1.0
@@ -259,8 +255,8 @@ class FluxKernel:
                 np.multiply(tan, tan, out=tan)
                 np.add(m2, tan, out=m2)
 
-    def mobility(self, coeff: Optional[CoefficientField], p: float, eps_reg: float, t: float) -> list:
-        """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces; None is A = 1."""
+    def mobility(self, coeff: CoefficientField, p: float, eps_reg: float, t: float) -> list:
+        """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces."""
         with np.errstate(divide="ignore"):
             for axis, (m2, m, faces) in enumerate(zip(self._mag2, self._mob, self._mob_faces)):
                 if p == 2.0:
@@ -268,7 +264,7 @@ class FluxKernel:
                 else:
                     np.add(m2, eps_reg * eps_reg, out=m)
                     _power(m, (p - 2.0) / 2.0, out=m)
-                if coeff is not None and coeff.kind != "identity":
+                if coeff.kind != "identity":
                     np.multiply(coeff.face_values(self.grid, axis, t), faces, out=faces)
         return self._mob_faces
 
@@ -338,7 +334,7 @@ def face_diffusivities(fld: ScalarField, p: float, eps_reg: float) -> list:
     """(eps^2 + |grad u|^2)^((p-2)/2) on the faces of each axis (no coefficient)."""
     if eps_reg < 0.0:
         raise ValueError("eps_reg must be >= 0")
-    return _loaded(fld).mobility(None, p, eps_reg, 0.0)
+    return _loaded(fld).mobility(CoefficientField(), p, eps_reg, 0.0)
 
 
 def p_flux_divergence(

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -81,22 +81,14 @@ def _power_sum(ex: np.ndarray, sigma: float) -> float:
 # norms
 
 
-def _values_and_weight(fld, weight: Optional[float]):
-    if hasattr(fld, "values") and hasattr(fld, "grid"):
-        return np.asarray(fld.values, dtype=float), float(fld.grid.quad_weight)
-    if weight is None:
-        raise ValueError("raw arrays need an explicit quadrature weight")
-    return np.asarray(fld, dtype=float), float(weight)
-
-
-def lr_norm(fld, r: float, weight: Optional[float] = None) -> float:
-    """Discrete Lebesgue norm of order r in [1, inf] with node weight."""
-    values, w = _values_and_weight(fld, weight)
+def lr_norm(values, r: float, weight: float) -> float:
+    """Discrete Lebesgue norm of order r in [1, inf] of nodal values with node weight."""
+    values = np.asarray(values, dtype=float)
     if math.isinf(r):
         return float(np.max(np.abs(values), initial=0.0))
     if r < 1.0:
         raise ValueError(f"norm order must be >= 1, got {r}")
-    return float(np.sum(np.abs(values) ** r) * w) ** (1.0 / r)
+    return float(np.sum(np.abs(values) ** r) * float(weight)) ** (1.0 / r)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +340,11 @@ def calibrate_decay_rate(series: NormSeries, label: str, m: float) -> float:
         dt = t[i + 1] - t[i]
         if dt <= 0.0 or v[i] <= 0.0:
             continue
+        if m >= 1.0 and v[i + 1] <= 0.0:
+            continue
         if m == 1.0:
-            if v[i + 1] <= 0.0:
-                continue
             rates.append((math.log(v[i]) - math.log(v[i + 1])) / dt)
-        elif m < 1.0:
-            z0, z1 = v[i] ** (1.0 - m), v[i + 1] ** (1.0 - m)
-            rates.append((z0 - z1) / ((1.0 - m) * dt))
         else:
-            if v[i + 1] <= 0.0:
-                continue
             z0, z1 = v[i] ** (1.0 - m), v[i + 1] ** (1.0 - m)
             rates.append((z1 - z0) / ((m - 1.0) * dt))
     if not rates:
@@ -365,13 +352,13 @@ def calibrate_decay_rate(series: NormSeries, label: str, m: float) -> float:
     return float(min(rates))
 
 
-def truncation_level_for(fld, sigma: float, target: float, weight=None) -> float:
-    """Smallest level k whose excess-part sigma-power is at or below target."""
+def truncation_level_for(values, sigma: float, target: float, weight: float) -> float:
+    """Smallest level k whose excess-part sigma-power, with node weight, is at or below target."""
     if target <= 0.0:
         raise ValueError("target must be > 0")
     if sigma < 1.0:
         raise ValueError("sigma must be >= 1")
-    values, w = _values_and_weight(fld, weight)
+    values, w = np.asarray(values, dtype=float), float(weight)
 
     def power(k):
         return _power_sum(np.abs(truncate_excess(values, k)), sigma) * w

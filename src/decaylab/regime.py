@@ -163,9 +163,9 @@ class RegimeReport:
         return d
 
 
-def _finite_energy(p: float, q: float, dim_n: int, sigma_formula: float) -> bool:
+def _finite_energy(p: float, q: float, dim_n: int, sigma_formula: float, q_l2: float) -> bool:
     n = float(dim_n)
-    branch_a = q >= p - n / (n + 2.0) - BOUNDARY_TOL and 2.0 * n / (n + 2.0) < p < n
+    branch_a = q >= q_l2 - BOUNDARY_TOL and 2.0 * n / (n + 2.0) < p < n
     branch_b = (
         q > p / 2.0
         and sigma_formula > 0.0
@@ -179,7 +179,6 @@ def classify(
     params: ProblemParams,
     data_nu: Optional[float] = None,
     critical_omega: float = 0.1,
-    tol: float = BOUNDARY_TOL,
 ) -> RegimeReport:
     """Total regime classification of (p, q, N) with optional declared data space.
 
@@ -200,15 +199,13 @@ def classify(
             sigma_formula=sigma_formula,
             nu=nu,
             beta=(sigma_eff + p - 2.0) / p if math.isfinite(sigma_eff) else float("nan"),
-            finite_energy=_finite_energy(p, q, params.dim_n, sigma_formula)
+            finite_energy=_finite_energy(p, q, params.dim_n, sigma_formula, thr.q_l2)
             if math.isfinite(sigma_formula)
             else False,
             q_lower=thr.q_lower,
             q_l1=thr.q_l1,
             q_l2=thr.q_l2,
-            p_lower=2.0 * n / (n + max(1.0, sigma_formula))
-            if math.isfinite(sigma_formula)
-            else float("nan"),
+            p_lower=2.0 * n / (n + nu),  # nan when nu is
         )
 
     nan = float("nan")
@@ -217,15 +214,15 @@ def classify(
 
     sig = sigma_exponent(p, q, params.dim_n)
 
-    # critical L^1 line: q exactly at the sigma = 1 landmark (within tol)
-    if abs(q - thr.q_l1) <= tol and p > thr.p_l1_lower:
+    # critical L^1 line: q exactly at the sigma = 1 landmark (within BOUNDARY_TOL)
+    if abs(q - thr.q_l1) <= BOUNDARY_TOL and p > thr.p_l1_lower:
         return report(Regime.CRITICAL_L1, 1.0 + critical_omega, sig)
 
-    if q <= thr.q_lower + tol:
+    if q <= thr.q_lower + BOUNDARY_TOL:
         return report(Regime.SUBLINEAR, max(1.0, sig), sig)
 
     # superlinear from here on
-    if data_nu is not None and data_nu < sig - tol:
+    if data_nu is not None and data_nu < sig - BOUNDARY_TOL:
         return report(Regime.NONEXISTENCE_RISK, sig, sig)
 
     if q > thr.q_l1:
@@ -286,6 +283,14 @@ def lambda_rate(params: ProblemParams, sigma: float, smallness: float) -> float:
     )
 
 
+def _scaling_denominator(p: float, sigma: float, n: float) -> float:
+    """N(p-2) + p*sigma, the denominator of the truncation-bound exponents; ValueError unless > 0."""
+    d = n * (p - 2.0) + p * sigma
+    if d <= 0.0:
+        raise ValueError(f"need N(p-2) + p*sigma > 0, got {d}")
+    return d
+
+
 def sup_decay_exponents(p: float, sigma: float, dim_n: int) -> tuple:
     """(data_exponent, time_exponent) of the sup bound on truncations:
 
@@ -294,9 +299,7 @@ def sup_decay_exponents(p: float, sigma: float, dim_n: int) -> tuple:
     with g0 the sigma norm of the truncated datum.
     """
     n = float(dim_n)
-    d = n * (p - 2.0) + p * sigma
-    if d <= 0.0:
-        raise ValueError(f"need N(p-2) + p*sigma > 0, got {d}")
+    d = _scaling_denominator(p, sigma, n)
     return (p * sigma / d, n / d)
 
 
@@ -317,9 +320,7 @@ def regularizing_exponents(p: float, sigma: float, r: float, dim_n: int) -> tupl
     n = float(dim_n)
     if not r > sigma:
         raise ValueError(f"regularizing bound needs r > sigma, got r={r}, sigma={sigma}")
-    d = n * (p - 2.0) + p * sigma
-    if d <= 0.0:
-        raise ValueError(f"need N(p-2) + p*sigma > 0, got {d}")
+    d = _scaling_denominator(p, sigma, n)
     return (sigma * (n * (p - 2.0) + p * r) / d, n * (r - sigma) / d)
 
 

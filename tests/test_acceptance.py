@@ -435,7 +435,7 @@ def test_c8_discretization_suite():
     grid = Grid((17, 13), (1.0, 2.0))
     rng = np.random.default_rng(7)
     fld = ScalarField(grid, rng.random(grid.shape))
-    coeff = CoefficientField.identity()
+    coeff = CoefficientField()
     div = p_flux_divergence(fld, coeff, p=2.6, eps_reg=1e-8).values
     total = float(np.sum(div)) * grid.cell_volume
     diffs = face_diffusivities(fld, p=2.6, eps_reg=1e-8)
@@ -457,7 +457,7 @@ def test_c8_discretization_suite():
         g = Grid((n,), (1.0,))
         x = g.axis_nodes(0)
         f = ScalarField(g, np.sin(math.pi * x))
-        d = p_flux_divergence(f, CoefficientField.identity(), p=2.0, eps_reg=1e-8)
+        d = p_flux_divergence(f, CoefficientField(), p=2.0, eps_reg=1e-8)
         errs.append(
             float(np.max(np.abs(d.values - (-math.pi**2) * np.sin(math.pi * x))))
         )
@@ -474,7 +474,7 @@ def test_c8_discretization_suite():
     zero = ScalarField(gz, np.zeros(gz.shape))
     params = ProblemParams(p=2.3, q=1.5, dim_n=3, gamma=0.7)
     for stepper in (step_explicit, step_imex):
-        out = stepper(zero, 1e-3, params, CoefficientField.identity(), eps_reg=1e-8)
+        out = stepper(zero, 1e-3, params, CoefficientField(), eps_reg=1e-8)
         assert np.all(out.values == 0.0)
 
     # (e) Determinism: identical scenario, identical bytes.

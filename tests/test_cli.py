@@ -514,6 +514,32 @@ def test_integral_float_is_an_integer_key(tmp_path, capsys):
     assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) > 2
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "k_levels", '"12"'),  # ran the levels 1 and 2
+    ("simulate", "r_list", '"34"'),  # ran the orders 3 and 4
+    ("simulate", "snapshot_times", '"0"'),  # wrote a snapshot at t = 0
+    ("simulate", "initial_center", '"55"'),  # became ('5', '5')
+    ("sweep", "sweep_p", '"12"'),  # a cell failed on format code 'g', naming no key
+])
+def test_string_in_a_list_key_exits_usage(tmp_path, capsys, command, key, value):
+    lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert f"config key {key!r} must be a list, got {json.loads(value)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("length", ["10", "1.5"])  # ran on lengths (1.0, 0.0); could not convert '.'
+def test_numeric_string_domain_length_runs_as_its_number(tmp_path, capsys, length):
+    for name, value in (("number", length), ("string", f'"{length}"')):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("domain_lengths = 1.0", f"domain_lengths = {value}"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+    capsys.readouterr()
+    for artifact in ("series.csv", "verification.json"):
+        assert (tmp_path / "number" / artifact).read_bytes() == (tmp_path / "string" / artifact).read_bytes()
+
+
 @pytest.mark.parametrize("flag, name", [
     ("--gamma", "gamma"),  # printed nan rates and exited 0
     ("--sigma", "sigma"),

@@ -15,7 +15,7 @@ from decaylab.field import (
     write_field_csv,
 )
 
-IDENT = CoefficientField.identity()
+IDENT = CoefficientField()
 
 
 def _reference_divergence_1d(values, h, p, eps, a_fn=None):

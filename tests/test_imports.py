@@ -78,7 +78,7 @@ import sys
 
 from decaylab import evolve
 
-dpbtrf, dpbtrs = evolve._banded_lapack()
+dpbtrf, dpbtrs = evolve._flapack().dpbtrf, evolve._flapack().dpbtrs
 import scipy.linalg.lapack
 
 assert scipy.linalg.lapack.dpbtrf is dpbtrf
@@ -95,8 +95,8 @@ import scipy.linalg.lapack
 
 from decaylab import evolve
 
-assert scipy.linalg.lapack.dpbtrf is evolve._banded_lapack()[0]
-assert scipy.linalg.lapack.dpbtrs is evolve._banded_lapack()[1]
+assert scipy.linalg.lapack.dpbtrf is evolve._flapack().dpbtrf
+assert scipy.linalg.lapack.dpbtrs is evolve._flapack().dpbtrs
 assert sys.modules["scipy.linalg._flapack"] is evolve._flapack()
 print("shared ok")
 """

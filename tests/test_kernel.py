@@ -76,7 +76,7 @@ def ref_diffusivity(mag2, p, eps_reg):
 
 
 def ref_face_mobility(comps, grid, coeff, p, eps_reg, t):
-    coeff = coeff if coeff is not None else CoefficientField.identity()
+    coeff = coeff if coeff is not None else CoefficientField()
     return [
         coeff.face_values(grid, axis, t) * ref_diffusivity(mag2, p, eps_reg)
         for axis, (_, mag2) in enumerate(comps)
@@ -217,7 +217,7 @@ def _same(a, b) -> bool:
 # the property
 
 COEFFICIENTS = {
-    "identity": CoefficientField.identity(),
+    "identity": CoefficientField(),
     "scalar": CoefficientField(
         kind="scalar", fn=lambda t, *xs: 1.0 + 0.5 * np.sin(3.0 * xs[0] + t) ** 2
     ),
@@ -295,17 +295,17 @@ def test_border_lanes_never_reach_a_result():
     assert all(np.all(g != 0.0) for g, _ in comps)
     kernel = FluxKernel(grid)
     kernel.load(values)
-    kernel.mobility(None, params.p, 0.0, 0.0)
+    kernel.mobility(CoefficientField(), params.p, 0.0, 0.0)
     assert not np.all(np.isfinite(kernel._mob[1]))  # the lanes this case is about
     real_max = kernel.nodal_magnitude().max()
     assert kernel._nodal.max() > real_max
 
-    want_dt, update = ref_explicit_step(values, grid, params, CoefficientField.identity(), 0.0, 0.0)
+    want_dt, update = ref_explicit_step(values, grid, params, CoefficientField(), 0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got_dt = stable_dt(fld, params, eps_reg=0.0)
         got = step_explicit(fld, 0.5 * got_dt, params, eps_reg=0.0).values
-        div = p_flux_divergence(fld, CoefficientField.identity(), params.p, 0.0).values
+        div = p_flux_divergence(fld, CoefficientField(), params.p, 0.0).values
     assert math.isfinite(got_dt) and got_dt > 0.0
     assert _same(got_dt, want_dt)
     assert _same(got, update(0.5 * want_dt))
@@ -362,12 +362,12 @@ def test_degenerate_mobility_error_paths():
     fld = ScalarField(grid, _data((6, 5), "flat_patch", 3))
     params = ProblemParams(p=1.5, q=1.0, dim_n=3)
     with pytest.raises(ValueError, match="eps_reg > 0"):
-        p_flux_divergence(fld, CoefficientField.identity(), 1.5, 0.0)
+        p_flux_divergence(fld, CoefficientField(), 1.5, 0.0)
     assert stable_dt(fld, params, eps_reg=0.0) == 0.0
     with pytest.raises(ValueError, match="eps_reg > 0"):
         step_explicit(fld, 1e-3, params, eps_reg=0.0)
     with pytest.raises(ValueError, match="eps_reg must be >= 0"):
-        p_flux_divergence(fld, CoefficientField.identity(), 1.5, -1e-3)
+        p_flux_divergence(fld, CoefficientField(), 1.5, -1e-3)
     with pytest.raises(ValueError, match="eps_reg must be >= 0"):
         face_diffusivities(fld, 1.5, -1e-3)
 
@@ -398,12 +398,12 @@ def test_returned_states_are_not_overwritten_by_later_steps():
     second = step_explicit(first, 1e-4, params, eps_reg=1e-4)
     assert np.array_equal(first.values, kept)
     assert not np.array_equal(second.values, kept)
-    div = p_flux_divergence(fld, CoefficientField.identity(), 1.9, 1e-4)
+    div = p_flux_divergence(fld, CoefficientField(), 1.9, 1e-4)
     kept_div = div.values.copy()
-    p_flux_divergence(first, CoefficientField.identity(), 1.9, 1e-4)
+    p_flux_divergence(first, CoefficientField(), 1.9, 1e-4)
     assert np.array_equal(div.values, kept_div)
 
-    stepper = _ExplicitStepper(grid, params, CoefficientField.identity(), 1e-4)
+    stepper = _ExplicitStepper(grid, params, CoefficientField(), 1e-4)
     u, t = fld.values, 0.0
     states = []
     for _ in range(4):
@@ -429,7 +429,7 @@ def test_kernel_buffers_are_64_byte_aligned(shape):
 def test_explicit_steps_allocate_only_the_new_state():
     grid = Grid((32, 32), (1.0, 1.0))
     params = ProblemParams(p=1.9, q=1.5, dim_n=3, gamma=0.1)
-    stepper = _ExplicitStepper(grid, params, CoefficientField.identity(), 1e-4)
+    stepper = _ExplicitStepper(grid, params, CoefficientField(), 1e-4)
     u, t = _data(grid.shape, "random", 11), 0.0
     state_bytes = u.nbytes
     tracemalloc.start()

@@ -1,19 +1,31 @@
 """Leftovers of a removal in src/decaylab, found with the stdlib ast module.
 
-Two kinds are caught: an import that its scope never reads (a module-level
+Three kinds are caught: an import that its scope never reads (a module-level
 import its module, a function-local one its function, nested functions
-included), and a private (`_`-prefixed) top-level function or class that
-nothing else in the package references.  `from __future__` imports and
+included); a private (`_`-prefixed) top-level function or class that
+nothing else in the package references; and a name in `decaylab.__all__`
+whose only caller is its own unit test, that is, one that neither the package
+(beyond its definition and re-export), the benchmark, the tools, the README
+nor the acceptance and CLI tests refer to.  `from __future__` imports and
 import statements marked `# noqa` are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "decaylab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "decaylab"
 MODULES = sorted(SRC.glob("*.py"))
+EXPORT_USERS = [
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    *sorted((ROOT / "tools").glob("*.py")),
+    ROOT / "README.md",
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "tests" / "test_cli.py",
+]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
@@ -89,6 +101,35 @@ def unreferenced_private(paths) -> list:
     ]
 
 
+def _defines(stmt) -> set:
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(stmt, DEFINITIONS):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def unreferenced_exports(package: Path, users) -> list:
+    """The names in the package's __all__, less __version__, that nothing else refers to.
+
+    The package's own modules count, except __init__ (which only re-exports)
+    and the statement that defines the name; each user counts whole, a Python
+    file by the names its code reads and any other file by its words.
+    """
+    exported = _exported(ast.parse((package / "__init__.py").read_text())) - {"__version__"}
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+                used |= _references(stmt) - _defines(stmt)
+    for path in users:
+        text = path.read_text()
+        used |= _references(ast.parse(text, filename=str(path))) if path.suffix == ".py" else set(
+            re.findall(r"\w+", text)
+        )
+    return sorted(exported - used)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_read(path):
     # function-local imports too, each against the names its own function reads
@@ -119,6 +160,38 @@ def test_the_checks_find_leftovers(tmp_path):
     )
     assert unused_imports(module) == ["mod.py:4: dc_field"]
     assert unreferenced_private([module]) == ["mod.py:10: _dead"]
+
+
+def test_every_export_has_a_caller_besides_its_unit_test():
+    assert unreferenced_exports(SRC, EXPORT_USERS) == []
+
+
+def test_the_export_check_finds_a_name_only_its_unit_test_calls(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .mod import LIMIT, dead, helper, used\n"
+        "__version__ = '1'\n"
+        "__all__ = ['LIMIT', 'dead', 'helper', 'used', '__version__']\n"
+    )
+    (package / "mod.py").write_text(
+        "LIMIT = 3\n"
+        "\n"
+        "def dead(n):\n"
+        "    return dead(n - 1) if n else LIMIT\n"
+        "\n"
+        "def helper():\n"
+        "    return 1\n"
+        "\n"
+        "def used():\n"
+        "    return helper()\n"
+    )
+    (tmp_path / "user.py").write_text("import pkg\n\nprint(pkg.used())\n")
+    (tmp_path / "test_mod.py").write_text("from pkg import dead\n\nassert dead(2) == 3\n")
+    # a recursive call is part of the definition; a unit test is not a user
+    assert unreferenced_exports(package, [tmp_path / "user.py"]) == ["dead"]
+    (tmp_path / "NOTES.md").write_text("`dead(n)` counts down to LIMIT.\n")
+    assert unreferenced_exports(package, [tmp_path / "user.py", tmp_path / "NOTES.md"]) == []
 
 
 def test_the_checks_find_unused_function_local_imports(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from decaylab.field import Grid, ScalarField
 from decaylab.metrics import (
     DegenerateWindowError,
     InsufficientDataError,
@@ -126,15 +125,12 @@ def test_lr_norm_frozen_values():
     assert lr_norm(np.array([3.0, 4.0]), 2.0, weight=0.5) == pytest.approx(
         math.sqrt(12.5), rel=1e-14
     )
-    g = Grid((4,), (1.0,))
-    ones = ScalarField(g, np.ones(4))
-    assert lr_norm(ones, 1.0) == pytest.approx(1.0, rel=1e-14)  # weight 1/n
-    assert lr_norm(ones, math.inf) == pytest.approx(1.0)
+    ones = np.ones(4)
+    assert lr_norm(ones, 1.0, 1.0 / 4) == pytest.approx(1.0, rel=1e-14)  # weight 1/n
+    assert lr_norm(ones, math.inf, 1.0 / 4) == pytest.approx(1.0)
     assert lr_norm(np.array([-2.0, 1.0]), math.inf, weight=1.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         lr_norm(np.array([1.0]), 0.5, weight=1.0)
-    with pytest.raises(ValueError):
-        lr_norm(np.array([1.0]), 2.0)  # raw array needs a weight
 
 
 def test_norm_series_basics():

@@ -81,8 +81,12 @@ def _defaults(keyed: dict) -> dict:
 
 
 def _values(cfg: dict, keyed: dict) -> dict:
-    """The config's values of the keyed fields, by field name."""
-    return {f.name: cfg[key] for key, f in keyed.items()}
+    """The config's values of the keyed fields, by field name; a float field's value as a float."""
+    values = {}
+    for key, f in keyed.items():
+        value = cfg[key]
+        values[f.name] = value if value is None or f.type not in _FLOAT_TYPES else _config_float(value, key)
+    return values
 
 
 _PARAM_KEYS = _config_fields(ProblemParams, skip=("measure",))  # measure is the grid's volume
@@ -154,6 +158,17 @@ def _config_int(value, key: str) -> int:
     return value
 
 
+_FLOAT_TYPES = ("float", "Optional[float]")  # the annotations of the float dataclass fields
+
+
+def _config_float(value, key: str) -> float:
+    """float(value), as the dataclasses convert it; a value it rejects is an error naming the key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}") from None
+
+
 def _config_list(cfg: dict, key: str):
     """A list-valued key's list, or None when unset; a string or a number there is an error."""
     value = cfg[key]
@@ -167,14 +182,15 @@ def build_scenario(cfg: dict, seed_override=None) -> Scenario:
     for key in REQUIRED_FOR_RUN:
         if cfg.get(key) is None:
             raise ValueError(f"config is missing required key {key!r}")
-    for key in ("snapshot_times", "k_levels", "r_list", "initial_center"):
+    list_keys = ("snapshot_times", "k_levels", "r_list", "initial_center", "fit_targets", "envelope_targets")
+    for key in list_keys:
         _config_list(cfg, key)
     n = cfg["grid_n"]
     shape = tuple(_config_int(x, "grid_n") for x in (n if isinstance(n, list) else [n]))
     lengths = cfg["domain_lengths"]
     if not isinstance(lengths, list):
         lengths = [lengths] * len(shape)
-    grid = Grid(shape, tuple(float(l) for l in lengths))
+    grid = Grid(shape, tuple(_config_float(l, "domain_lengths") for l in lengths))
     params = ProblemParams(
         **{**_values(cfg, _PARAM_KEYS), "dim_n": _config_int(cfg["dim_n"], "dim_n")},
         measure=float(np.prod(grid.lengths)),

@@ -317,8 +317,8 @@ class _ExplicitStepper:
         else:
             stable = float("inf")
         if params.gamma > 0.0:
-            grad_mag = self._grad_mag = kernel.nodal_magnitude()
-            source_max = params.gamma * float(grad_mag.max()) ** params.q
+            self._grad_mag = kernel.nodal_magnitude()
+            source_max = params.gamma * kernel.max_nodal_magnitude() ** params.q
             if source_max > 0.0:
                 if sup is None:
                     sup = float(np.max(np.abs(values, out=self._source), initial=0.0))
@@ -348,7 +348,7 @@ class _ExplicitStepper:
 
 def _check_overflow(values: np.ndarray, t: float, work: Optional[np.ndarray] = None) -> float:
     """The sup norm of values; OverflowDetected past the sentinel or when not finite."""
-    sup = float(np.max(np.abs(values, out=work), initial=0.0))  # NaN propagates
+    sup = float(np.maximum.reduce(np.abs(values, out=work), axis=None, initial=0.0))  # NaN propagates
     if not math.isfinite(sup) or sup > OVERFLOW_SENTINEL:
         raise OverflowDetected(t, sup)
     return sup
@@ -730,13 +730,18 @@ def run(scenario: Scenario) -> RunResult:
     times, norms = [], [[] for _ in scenario.columns]
 
     def record(ts, values):
-        row = [float(np.max(np.abs(values), initial=0.0)), float(np.sum(np.abs(values)) * weight)]
+        mag = np.abs(values)
+        sup = float(np.maximum.reduce(mag, axis=None, initial=0.0))
+        row = [sup, float(np.add.reduce(mag, axis=None) * weight)]
         row += [lr_norm(values, r, weight) for r in orders]
         for k in scenario.k_levels:
+            if k >= sup:  # no excess: (0 w)^(1/sigma) and 0 w are 0.0
+                row += (0.0, 0.0)
+                continue
             ex = truncate_excess(values, k)
             np.abs(ex, out=ex)
             row.append((_power_sum(ex, sigma_eff) * weight) ** (1.0 / sigma_eff))
-            row.append(float(np.sum(ex) * weight))
+            row.append(float(np.add.reduce(ex, axis=None) * weight))
         times.append(ts)
         for column, value in zip(norms, row):
             column.append(value)

@@ -174,9 +174,11 @@ class FluxKernel:
     In 2D those ranges also cross the border columns.  Their lanes are
     computed but never read: a border face lies between two zero nodes, so
     its gradient is zero and, with eps_reg = 0 and p < 2, its mobility is
-    infinite and its flux NaN.  Maxima, the finiteness check and every
-    returned array see only the real faces and nodes, through strided views
-    of face or grid shape.
+    infinite and its flux NaN.  Every returned array sees only the real
+    faces and nodes, through strided views of face or grid shape.  The
+    maxima and the finiteness check first write 0 into the border lanes
+    (mobilities and magnitudes are >= 0, so a 0 never wins a maximum) and
+    then reduce the whole contiguous range.
 
     Every buffer is carved from one slab per kernel and starts on a
     64-byte boundary, so the contiguous passes run on aligned output
@@ -216,6 +218,16 @@ class FluxKernel:
         self._mob_faces = [np.ndarray(f, buffer=m, strides=byte_strides) for m, f in zip(self._mob, faces)]
         self._nodal_nodes = np.ndarray(shape, buffer=self._nodal, strides=byte_strides)
         self._div_nodes = np.ndarray(shape, buffer=self._div, strides=byte_strides)
+
+        def border_lanes(real: tuple, length: int) -> np.ndarray:
+            """The flat indices of a range's lanes that are no real face or node."""
+            lanes = np.ones(length, dtype=bool)
+            np.ndarray(real, dtype=bool, buffer=lanes, strides=tuple(strides))[...] = False
+            return np.flatnonzero(lanes)
+
+        self._face_border = [border_lanes(f, n) for f, n in zip(faces, face_len)]
+        self._node_border = border_lanes(shape, node_len)
+        self._finite = np.empty(node_len, dtype=bool)
 
         def shifted(axis: int, offset: int) -> np.ndarray:
             """The state over axis's face range, offset entries on."""
@@ -270,7 +282,9 @@ class FluxKernel:
 
     def max_mobility(self) -> float:
         """The largest face mobility of the last mobility() call."""
-        return max(float(m.max()) for m in self._mob_faces)
+        for m, border in zip(self._mob, self._face_border):
+            m[border] = 0.0
+        return max(float(np.maximum.reduce(m)) for m in self._mob)
 
     def nodal_magnitude(self) -> np.ndarray:
         """Nodal |grad u|: per axis the average of the two adjacent face gradients."""
@@ -285,6 +299,11 @@ class FluxKernel:
         np.sqrt(out, out=out)
         return self._nodal_nodes
 
+    def max_nodal_magnitude(self) -> float:
+        """The largest nodal |grad u| of the last nodal_magnitude() call."""
+        self._nodal[self._node_border] = 0.0
+        return float(np.maximum.reduce(self._nodal))
+
     def divergence(self) -> np.ndarray:
         """Conservative divergence of the face fluxes mobility * normal gradient."""
         div, work = self._div, self._node_work
@@ -295,7 +314,8 @@ class FluxKernel:
                 np.subtract(hi, lo, out=work)
                 np.divide(work, self._spacing[axis], out=work)
                 np.add(div, work, out=div)
-        if not np.isfinite(self._div_nodes).all():
+        div[self._node_border] = 0.0
+        if not np.logical_and.reduce(np.isfinite(div, out=self._finite)):
             raise ValueError(
                 "non-finite flux divergence: degenerate zero-gradient face with "
                 "eps_reg = 0 and p < 2; pass eps_reg > 0"

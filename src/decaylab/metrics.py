@@ -48,18 +48,15 @@ def level_split(z, k: float):
 def truncate_excess(z, k: float):
     """Part of z exceeding level k, signed: 0 inside [-k, k].
 
-    Formed as sign(z) (|z| - k)+, which rounds exactly as z - sign(z) k
-    (rounding is symmetric in sign); the final + 0.0 turns the -0.0 of a
-    negative z inside [-k, k] into 0.0.
+    Formed as z - clip(z, -k, k).  Outside the band that is z - sign(z) k,
+    which rounds exactly as sign(z) (|z| - k) (rounding is symmetric in
+    sign); inside it is z - z, which is 0.0 also for z = -0.0.
     """
     if not (k >= 0.0 and math.isfinite(k)):
         raise ValueError(f"truncation level must be finite and >= 0, got {k}")
     z = np.asarray(z, dtype=float)
-    excess = np.abs(z, out=np.empty_like(z))
-    np.subtract(excess, k, out=excess)
-    np.maximum(excess, 0.0, out=excess)
-    np.copysign(excess, z, out=excess)
-    return np.add(excess, 0.0, out=excess)
+    excess = np.clip(z, -k, k, out=np.empty_like(z))
+    return np.subtract(z, excess, out=excess)
 
 
 def _power_sum(ex: np.ndarray, sigma: float) -> float:
@@ -74,7 +71,7 @@ def _power_sum(ex: np.ndarray, sigma: float) -> float:
     powers = np.add(ex, zero)
     np.power(powers, sigma, out=powers)
     np.subtract(powers, zero, out=powers)
-    return float(np.sum(powers))
+    return float(np.add.reduce(powers, axis=None))
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +82,10 @@ def lr_norm(values, r: float, weight: float) -> float:
     """Discrete Lebesgue norm of order r in [1, inf] of nodal values with node weight."""
     values = np.asarray(values, dtype=float)
     if math.isinf(r):
-        return float(np.max(np.abs(values), initial=0.0))
+        return float(np.maximum.reduce(np.abs(values), axis=None, initial=0.0))
     if r < 1.0:
         raise ValueError(f"norm order must be >= 1, got {r}")
-    return float(np.sum(np.abs(values) ** r) * float(weight)) ** (1.0 / r)
+    return float(np.add.reduce(np.abs(values) ** r, axis=None) * float(weight)) ** (1.0 / r)
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +148,13 @@ class NormSeries:
         labels = rows[0][1:]
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("series CSV needs unique, nonempty norm columns")
-        body = rows[1:]
-        times = []
-        cols = {lab: [] for lab in labels}
+        body, width = rows[1:], len(labels) + 1
         for row in body:
-            if len(row) != len(labels) + 1:
-                raise ValueError(f"series CSV row width {len(row)} != {len(labels) + 1}")
-            times.append(float(row[0]))
-            for lab, cell in zip(labels, row[1:]):
-                cols[lab].append(float(cell))
-        return cls(np.asarray(times), {lab: np.asarray(v) for lab, v in cols.items()})
+            if len(row) != width:
+                raise ValueError(f"series CSV row width {len(row)} != {width}")
+        # float() of each cell, then one contiguous array per column
+        times, *cols = np.array(body, dtype=float).reshape(len(body), width).T.copy()
+        return cls(times, dict(zip(labels, cols)))
 
 
 # ---------------------------------------------------------------------------

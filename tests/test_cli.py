@@ -520,6 +520,8 @@ def test_integral_float_is_an_integer_key(tmp_path, capsys):
     ("simulate", "snapshot_times", '"0"'),  # wrote a snapshot at t = 0
     ("simulate", "initial_center", '"55"'),  # became ('5', '5')
     ("sweep", "sweep_p", '"12"'),  # a cell failed on format code 'g', naming no key
+    ("simulate", "fit_targets", '"ab"'),  # "argument after ** must be a mapping, not str"
+    ("simulate", "envelope_targets", '"ab"'),
 ])
 def test_string_in_a_list_key_exits_usage(tmp_path, capsys, command, key, value):
     lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
@@ -527,6 +529,23 @@ def test_string_in_a_list_key_exits_usage(tmp_path, capsys, command, key, value)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert f"config key {key!r} must be a list, got {json.loads(value)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, bad", [
+    ("p", '"abc"', "abc"),  # printed only "could not convert string to float: 'abc'"
+    ("t_end", '"abc"', "abc"),
+    ("domain_lengths", '"abc"', "abc"),
+    ("domain_lengths", '[1.0, "abc"]', "abc"),
+    ("initial_amplitude", '"abc"', "abc"),
+    ("sigma", "[3]", [3]),  # "float() argument must be a string or a real number"
+])
+def test_non_numeric_float_key_exits_usage_naming_the_key(tmp_path, capsys, key, value, bad):
+    lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert f"config key {key!r} must be a number, got {bad!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -735,22 +735,51 @@ def test_run_columns_equal_their_recomputation_from_the_snapshots():
         k_levels=(0.0, 0.2),
         snapshot_times=(0.0, 1e-3, 2.5e-3, 4e-3),
     )
-    sigma = s.sigma_resolved
-    assert classify(params).regime is Regime.SUPERLINEAR_SIGMA and sigma not in (1.0, 2.0)
-    res = run(s)
+    assert classify(params).regime is Regime.SUPERLINEAR_SIGMA and s.sigma_resolved not in (1.0, 2.0)
+    _assert_columns_recomputed(s, run(s))
+
+
+def _assert_columns_recomputed(s: Scenario, res) -> None:
+    """Every column at every snapshot == its lr_norm/truncate_excess recomputation (r_list 1, 2, 3.5, inf)."""
     assert [ts for ts, _ in res.snapshots] == list(s.snapshot_times)
+    w, sigma = s.grid.quad_weight, s.sigma_resolved
     for ts, snap in res.snapshots:
         (i,) = np.flatnonzero(res.series.times == ts)
-        w = s.grid.quad_weight
         want = {"linf": lr_norm(snap.values, math.inf, w), "l1": lr_norm(snap.values, 1.0, w)}
         want.update((f"l{r:g}", lr_norm(snap.values, r, w)) for r in (2.0, 3.5))
         for k in s.k_levels:
             excess = truncate_excess(snap.values, k)
-            want[f"gk{k:g}_lsigma"] = lr_norm(excess, sigma, s.grid.quad_weight)
-            want[f"gk{k:g}_l1"] = lr_norm(excess, 1.0, s.grid.quad_weight)
+            want[f"gk{k:g}_lsigma"] = lr_norm(excess, sigma, w)
+            want[f"gk{k:g}_l1"] = lr_norm(excess, 1.0, w)
         assert list(want) == res.series.labels
         for label, value in want.items():
             assert res.series.column(label)[i] == value, (ts, label)
+
+
+@settings(max_examples=24)
+@given(
+    st.sampled_from(["explicit", "imex"]),
+    st.sampled_from(["bump", "eigenfunction", "zero"]),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0), min_size=1, max_size=4),
+)
+def test_run_columns_equal_their_recomputation_at_levels_around_the_sup(stepper, kind, fractions):
+    # levels below, at and above the initial sup; with the zero datum every
+    # level is at or above the sup, whose columns run() records as 0.0
+    # without computing them
+    grid = Grid((7, 6), (1.0, 1.2))
+    initial = InitialSpec(kind=kind, amplitude=0.8)
+    sup0 = float(np.max(np.abs(make_initial(initial, grid).values)))
+    s = Scenario(
+        params=ProblemParams(p=1.9, q=1.6, dim_n=2, gamma=0.3),
+        grid=grid,
+        initial=initial,
+        t_end=1e-3,
+        stepper=stepper,
+        r_list=(1.0, 2.0, 3.5, math.inf),
+        k_levels=tuple(f * sup0 for f in fractions) + (0.1,),
+        snapshot_times=(0.0, 2e-4, 1e-3),
+    )
+    _assert_columns_recomputed(s, run(s))
 
 
 def test_scenario_columns_are_the_recorded_labels():

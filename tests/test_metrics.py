@@ -104,21 +104,32 @@ def test_power_sum_is_the_sum_of_powers_bitwise(ex, sigma):
     assert _bits(got) == _bits(want)
 
 
+# the edges of the double range: signed zeros, subnormals, the smallest
+# normal, the largest finite values and the infinities
+SPECIALS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+])
+
+
 @settings(max_examples=400)
 @given(
-    st.lists(st.floats(-1e300, 1e300) | EXTREMES, min_size=1, max_size=120),
-    st.one_of(st.just(0.0), st.floats(0.0, 10.0), EXTREMES.map(abs)),
+    st.lists(st.floats(-1e300, 1e300) | EXTREMES | SPECIALS, min_size=1, max_size=120),
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0), EXTREMES.map(abs), SPECIALS.map(abs).filter(math.isfinite)),
     st.booleans(),
 )
 def test_truncate_excess_is_the_where_formula_bitwise(z, k, level_on_a_node):
     z = np.array(z)
-    if level_on_a_node:
-        k = abs(float(z[len(z) // 2]))  # |z| == k at one node: the band's edge
-    ex = truncate_excess(z, k)
-    assert np.array_equal(_bits(ex), _bits(ref_excess(z, k)))
-    assert np.array_equal(_bits(ex), _bits(level_split(z, k)[0]))
-    grid = z[: 2 * (len(z) // 2)].reshape(2, -1)
-    assert np.array_equal(_bits(truncate_excess(grid, k)), _bits(ref_excess(grid, k)))
+    finite = z[np.isfinite(z)]
+    if level_on_a_node and finite.size:
+        k = abs(float(finite[len(finite) // 2]))  # |z| == k at one node: the band's edge
+    with np.errstate(all="raise"):
+        ex = truncate_excess(z, k)
+        assert np.array_equal(_bits(ex), _bits(ref_excess(z, k)))
+        grid = z[: 2 * (len(z) // 2)].reshape(2, -1)
+        assert np.array_equal(_bits(truncate_excess(grid, k)), _bits(ref_excess(grid, k)))
+    with np.errstate(invalid="ignore"):  # the capped part of an infinite z is inf - inf
+        assert np.array_equal(_bits(ex), _bits(level_split(z, k)[0]))
 
 
 def test_lr_norm_frozen_values():
@@ -167,6 +178,20 @@ def test_norm_series_csv_round_trip(tmp_path):
     assert back.to_csv_text() == text
 
 
+def test_norm_series_csv_round_trip_is_bitwise_at_the_edges(tmp_path):
+    edges = [5e-324, -0.0, 1.7976931348623157e308, 0.0, 2.2250738585072014e-308, -1e-310]
+    s = NormSeries(np.arange(len(edges)) * 0.5, {"linf": edges, "l1": edges[::-1]})
+    path = tmp_path / "series.csv"
+    s.write_csv(path)
+    assert "5e-324,-1e-310" in path.read_text() and "-0.0" in path.read_text()
+    back = NormSeries.from_csv(path)
+    assert back.labels == ["linf", "l1"]
+    for got, want in [(back.times, s.times)] + [(back.column(lab), s.column(lab)) for lab in s.labels]:
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got.flags.c_contiguous
+    assert back.to_csv_text() == s.to_csv_text()
+
+
 def test_norm_series_csv_schema_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,linf\n0.0,1.0\n")
@@ -177,6 +202,15 @@ def test_norm_series_csv_schema_errors(tmp_path):
         NormSeries.from_csv(p)
     p.write_text("t,linf\n0.0,1.0\n0.5\n")
     with pytest.raises(ValueError, match="row"):
+        NormSeries.from_csv(p)
+    p.write_text("t,linf\n0.0,1.0\n0.5,1.0,2.0\n")
+    with pytest.raises(ValueError, match="row width 3 != 2"):
+        NormSeries.from_csv(p)
+    p.write_text("t,linf\n0.0,1.0\n0.5,abc\n")
+    with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+        NormSeries.from_csv(p)
+    p.write_text("t,linf\n0.0,1.0\n0.5,\n")
+    with pytest.raises(ValueError, match="could not convert string to float: ''"):
         NormSeries.from_csv(p)
 
 

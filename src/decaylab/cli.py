@@ -145,8 +145,11 @@ def serialize_config(cfg: dict) -> str:
 
 
 def load_config(path) -> dict:
+    """The file's keys over CONFIG_DEFAULTS, each list-valued key checked by _config_list."""
     with open(path) as handle:
-        return {**CONFIG_DEFAULTS, **parse_config_text(handle.read())}
+        cfg = {**CONFIG_DEFAULTS, **parse_config_text(handle.read())}
+    lists = (*_NUMBER_LISTS, "fit_targets", "envelope_targets")
+    return {**cfg, **{key: _config_list(cfg, key) for key in lists}}
 
 
 def _config_int(value, key: str) -> int:
@@ -169,11 +172,19 @@ def _config_float(value, key: str) -> float:
         raise ValueError(f"config key {key!r} must be a number, got {value!r}") from None
 
 
+_NUMBER_LISTS = ("snapshot_times", "k_levels", "r_list", "initial_center", "sweep_p", "sweep_q", "sweep_gamma")
+
+
 def _config_list(cfg: dict, key: str):
-    """A list-valued key's list, or None when unset; a string or a number there is an error."""
+    """A list key's list as written, or its default when null; a number list's entries must be numbers."""
     value = cfg[key]
-    if value is not None and not isinstance(value, list):
+    if value is None:
+        return CONFIG_DEFAULTS[key]
+    if not isinstance(value, list):
         raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+    if key in _NUMBER_LISTS:
+        for entry in value:
+            _config_float(entry, key)
     return value
 
 
@@ -182,9 +193,6 @@ def build_scenario(cfg: dict, seed_override=None) -> Scenario:
     for key in REQUIRED_FOR_RUN:
         if cfg.get(key) is None:
             raise ValueError(f"config is missing required key {key!r}")
-    list_keys = ("snapshot_times", "k_levels", "r_list", "initial_center", "fit_targets", "envelope_targets")
-    for key in list_keys:
-        _config_list(cfg, key)
     n = cfg["grid_n"]
     shape = tuple(_config_int(x, "grid_n") for x in (n if isinstance(n, list) else [n]))
     lengths = cfg["domain_lengths"]
@@ -401,12 +409,11 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     out_root = _resolve_out_dir(args.out, cfg)
-    ps = _config_list(cfg, "sweep_p") or [cfg["p"]]
-    qs = _config_list(cfg, "sweep_q") or [cfg["q"]]
-    gammas = _config_list(cfg, "sweep_gamma") or [cfg["gamma"]]
+    axes = [cfg[f"sweep_{key}"] or [cfg[key]] for key in ("p", "q", "gamma")]
     tasks, cells = [], {}
-    for p, q, gamma in product(ps, qs, gammas):
-        name, cell = f"p{p:g}_q{q:g}_gamma{gamma:g}", f"(p={p!r}, q={q!r}, gamma={gamma!r})"
+    for p, q, gamma in product(*axes):
+        name = "p{:g}_q{:g}_gamma{:g}".format(*map(_config_float, (p, q, gamma), ("p", "q", "gamma")))
+        cell = f"(p={p!r}, q={q!r}, gamma={gamma!r})"
         if name in cells:
             raise ValueError(f"sweep cells {cells[name]} and {cell} share the directory {name!r}")
         cells[name] = cell

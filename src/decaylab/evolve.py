@@ -7,18 +7,20 @@ the current sup norm.  _ImexStepper runs step_imex, which treats diffusion
 implicitly (lagged diffusivity fixed point) and the gradient source
 explicitly; its sweeps solve by conjugate gradients preconditioned with a
 banded Cholesky factor, which _ImexStepper holds from step to step (with one
-FluxKernel for the run) and which is renewed only when CG misses its
-tolerance.  A step's first sweep solves to IMEX_CG_FRACTION of the step's
-residual tolerance: it is the sweep that finds out whether the held factor
-has gone stale, so it is never loosened.  Each later sweep stops CG at
-IMEX_CG_FORCING times the previous sweep's nonlinear residual (an inexact
-fixed point, after Eisenstat & Walker's forcing terms): the next sweep
-re-linearizes anyway, and that residual is at least the tolerance whenever
-a sweep follows.  run() records one list per
-Scenario.columns label at geometrically spaced sample times, stops on
-overflow (sup norm past 1e12) or on an optional extinction floor, and
-returns in RunResult.metadata the `run` block of metadata.json, less the
-RunResult fields and the sample count.
+FluxKernel for the run; step_imex gets both as its stepper) and which is
+renewed only when CG misses its tolerance.  A step's first sweep solves to
+IMEX_CG_FRACTION of the step's residual tolerance: it is the sweep that finds
+out whether the held factor has gone stale, so it is never loosened.  Each
+later sweep stops CG at IMEX_CG_FORCING times the previous sweep's nonlinear
+residual (an inexact fixed point, after Eisenstat & Walker's forcing terms):
+the next sweep re-linearizes anyway, and that residual is at least the
+tolerance whenever a sweep follows.  Each stepper's advance(u, t, dt_max)
+returns the new state and the dt it took; run() passes the time left to the
+next sample and lands on it exactly when the step took all of that time.
+run() records one list per Scenario.columns label at geometrically spaced
+sample times, stops on overflow (sup norm past 1e12) or on an optional
+extinction floor, and returns in RunResult.metadata the `run` block of
+metadata.json, less the RunResult fields and the sample count.
 
 The IMEX solver calls LAPACK's dpbtrf and dpbtrs directly.  It takes them
 from scipy's f2py wrapper extension, scipy.linalg._flapack, which _flapack()
@@ -119,11 +121,15 @@ class InitialSpec:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
         if self.center is not None:
-            object.__setattr__(self, "center", tuple(self.center))
+            object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial kind {self.kind!r}; have {INITIAL_KINDS}")
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        # a NaN center or radius puts no node inside the bump: a zero datum
+        for name in ("center", "radius", "cap", "decay_exponent", "nu", "nu_prime"):
+            if getattr(self, name) is not None and not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def make_initial(
@@ -288,9 +294,10 @@ class _ExplicitStepper:
     CFL bound with safety 0.4 on the face mobility A(t) D, capped so that the
     source adds at most a tenth of the sup norm in one step.  update(dt) then
     returns the stepped state, a new array, and its sup norm.  advance(u, t,
-    t_target) is one step of run(): at the stable dt, landing on t_target when
-    it reaches it.  The state advance returned last comes back as the next u,
-    so the sup norm its overflow check took is that state's source-cap sup.
+    dt_max) is one step of run(): at the stable dt, or dt_max when that is
+    smaller, returning the new state and the dt it took.  The state advance
+    returned last comes back as the next u, so the sup norm its overflow
+    check took is that state's source-cap sup.
     """
 
     rejected = 0
@@ -337,13 +344,12 @@ class _ExplicitStepper:
         new = self._values + work
         return new, _check_overflow(new, self._t + dt, work=work)
 
-    def advance(self, u, t, t_target):
+    def advance(self, u, t, dt_max):
         last, sup = self._last
         stable = self.prepare(u, t, sup if u is last else None)
-        dt = _step_size(t, min(stable, t_target - t))
-        new, sup = self.update(dt)
-        self._last = (new, sup)
-        return new, (t_target if stable >= t_target - t else t + dt)
+        dt = _step_size(t, min(stable, dt_max))
+        self._last = self.update(dt)
+        return self._last[0], dt
 
 
 def _check_overflow(values: np.ndarray, t: float, work: Optional[np.ndarray] = None) -> float:
@@ -560,8 +566,7 @@ def step_imex(
     eps_reg: float = 0.0,
     t: float = 0.0,
     *,
-    held: Optional[list] = None,
-    kernel: Optional[FluxKernel] = None,
+    stepper: Optional[_ImexStepper] = None,
 ) -> ScalarField:
     """Backward Euler diffusion via damped lagged-diffusivity iteration.
 
@@ -575,12 +580,11 @@ def step_imex(
     accuracy beyond it; the step is still accepted only once its own
     residual is below the tolerance.  When CG misses its stop within
     IMEX_CG_MAX_ITER iterations, or there is no factor yet, the sweep factors
-    its own matrix and solves with it directly.  held, when given, is a
-    one-item list that carries the factor across steps: its item (None at
-    first) preconditions the first sweep, and each new factor is stored back
-    into it.  Without held, the first sweep always factors.  kernel, when
-    given, is a FluxKernel on fld's grid that the step works in; without it
-    the step builds its own.  Raises NonConvergenceError on a non-finite
+    its own matrix and solves with it directly.  stepper, when given, is the
+    _ImexStepper on fld's grid whose kernel the step works in and whose
+    factor (None at first) preconditions the first sweep; each new factor is
+    stored back into it.  Without it the step builds a fresh one, so the
+    first sweep always factors.  Raises NonConvergenceError on a non-finite
     diffusivity or solution, a failed factorization, or after IMEX_MAX_ITER
     sweeps.
     """
@@ -589,8 +593,9 @@ def step_imex(
     grid = fld.grid
     p = params.p
     t_new = t + dt
-    if kernel is None:
-        kernel = FluxKernel(grid)
+    if stepper is None:
+        stepper = _ImexStepper(grid, params, coeff, eps_reg, dt)
+    kernel = stepper.kernel
     kernel.load(fld.values)
     b = fld.values.copy()
     if params.gamma > 0.0:
@@ -602,7 +607,6 @@ def step_imex(
 
     cur = fld.values
     dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
-    factor = None if held is None else held[0]
     prev_res = float("inf")
     for _ in range(IMEX_MAX_ITER):
         if not all(np.all(np.isfinite(d)) for d in dfaces):
@@ -610,12 +614,11 @@ def step_imex(
                 "implicit solve produced non-finite values (non-finite face diffusivity)"
             )
         stencil = _ImplicitStencil.assemble(grid, dfaces, dt)
+        factor = stepper.factor
         x = None if factor is None else _pcg_sweep(stencil, factor, flat_b, cur.ravel(), cg_atol)
         if x is None:
-            factor = stencil.factor()
-            if held is not None:
-                held[0] = factor
-            x = _cho_solve(factor, flat_b)
+            stepper.factor = stencil.factor()
+            x = _cho_solve(stepper.factor, flat_b)
         if not np.all(np.isfinite(x)):
             raise NonConvergenceError("implicit solve produced non-finite values")
         x = x.reshape(grid.shape)
@@ -681,40 +684,33 @@ def _step_size(t: float, dt: float) -> float:
     return dt
 
 
-@dataclass
 class _ImexStepper:
     """step_imex at dt_init, halving dt after each solve that fails to converge.
 
-    held carries the last banded factor from one step_imex call to the next,
-    rejected ones included, and every call works in the one kernel.
+    Every step works in the one FluxKernel, kernel, and factor holds the last
+    banded factor step_imex made (None at first), a rejected step's included.
     """
 
-    scenario: Scenario
-    rejected: int = 0
-    held: list = dc_field(default_factory=lambda: [None])
-    kernel: FluxKernel = dc_field(init=False)
+    def __init__(
+        self, grid: Grid, params: ProblemParams, coeff: CoefficientField, eps_reg: float, dt_init: float
+    ):
+        self.grid, self.params, self.coeff, self.eps_reg, self.dt_init = grid, params, coeff, eps_reg, dt_init
+        self.kernel = FluxKernel(grid)
+        self.factor = None
+        self.rejected = 0
 
-    def __post_init__(self):
-        self.kernel = FluxKernel(self.scenario.grid)
-
-    def advance(self, u, t, t_target):
-        sc = self.scenario
-        landing = sc.dt_init >= t_target - t
-        dt = min(sc.dt_init, t_target - t)
+    def advance(self, u, t, dt_max):
+        dt = min(self.dt_init, dt_max)
         for halvings in range(IMEX_MAX_HALVINGS + 1):
             _step_size(t, dt)
             try:
-                new = step_imex(
-                    ScalarField(sc.grid, u), dt, sc.params, sc.coefficient, sc.eps_resolved, t,
-                    held=self.held, kernel=self.kernel,
-                )
-                return new.values, (t_target if landing else t + dt)
+                fld = ScalarField(self.grid, u)
+                return step_imex(fld, dt, self.params, self.coeff, self.eps_reg, t, stepper=self).values, dt
             except NonConvergenceError:
                 self.rejected += 1
                 if halvings == IMEX_MAX_HALVINGS:
                     raise
                 dt *= 0.5
-                landing = False
 
 
 def run(scenario: Scenario) -> RunResult:
@@ -757,15 +753,15 @@ def run(scenario: Scenario) -> RunResult:
     accepted = 0
     blow_time = None
     stopped_early = False
-    if scenario.stepper == "explicit":
-        stepper = _ExplicitStepper(grid, scenario.params, scenario.coefficient, scenario.eps_resolved)
-    else:
-        stepper = _ImexStepper(scenario)
+    problem = (grid, scenario.params, scenario.coefficient, scenario.eps_resolved)
+    explicit = scenario.stepper == "explicit"
+    stepper = _ExplicitStepper(*problem) if explicit else _ImexStepper(*problem, scenario.dt_init)
 
     try:
         for target in targets:
             while t < target:
-                u, t = stepper.advance(u, t, target)
+                u, dt = stepper.advance(u, t, target - t)
+                t = target if dt == target - t else t + dt
                 accepted += 1
                 if scenario.stop_linf_atol > 0.0:
                     if float(np.max(np.abs(u), initial=0.0)) <= scenario.stop_linf_atol:

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 
@@ -285,12 +285,12 @@ class EnvelopeReport:
 def check_envelope(
     series: NormSeries,
     label: str,
-    bound: Union[Callable, Sequence],
+    bound: Callable,
     slack: float = 1.0,
     window=None,
     atol: float = 0.0,
 ) -> EnvelopeReport:
-    """Verify measured <= slack * bound (+ atol) at every sample in the window."""
+    """Verify measured <= slack * bound(t) (+ atol) at every sample t in the window."""
     if slack <= 0.0:
         raise ValueError("slack must be > 0")
     t = series.times
@@ -298,12 +298,7 @@ def check_envelope(
     if window is not None:
         mask = (t >= float(window[0])) & (t <= float(window[1]))
         t, v = t[mask], v[mask]
-    if callable(bound):
-        b = np.asarray(bound(t), dtype=float)
-    else:
-        b = np.asarray(bound, dtype=float)
-        if window is not None:
-            b = b[mask]
+    b = np.asarray(bound(t), dtype=float)
     if b.shape != t.shape:
         raise ValueError("bound values must match the selected samples")
     bad = v > slack * b + atol

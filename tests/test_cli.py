@@ -241,7 +241,8 @@ def test_simulate_echoes_every_config_key_in_order(tmp_path, capsys):
 
 
 # BASE_CFG with its numbers written as integers and numeric strings, plus
-# float defaults it leaves out, written the same way
+# float defaults it leaves out, written the same way, and list defaults
+# written as null ("'NoneType' object is not iterable")
 TWIN_CFG = """
 p = 2
 q = "1"
@@ -262,6 +263,10 @@ r_list = [2]
 sample_ratio = "1.05"
 stop_linf_atol = 0
 verify_linf_contraction = true
+snapshot_times = null
+k_levels = null
+fit_targets = null
+envelope_targets = null
 """
 
 
@@ -489,6 +494,24 @@ def test_simulate_non_finite_input_exits_before_stepping(tmp_path, capsys, key, 
 
 
 @pytest.mark.parametrize("key, value", [
+    ("initial_center", "[NaN]"),  # a zero datum, reported as extinct at t = 0
+    ("initial_radius", "NaN"),  # the same
+    ("initial_radius", "Infinity"),  # the constant datum 1
+    ("initial_cap", "Infinity"),
+    ("initial_decay_exponent", "NaN"),
+    ("initial_nu", "NaN"),
+    ("initial_nu_prime", "Infinity"),
+])
+def test_simulate_non_finite_initial_field_exits_before_stepping(tmp_path, capsys, key, value):
+    lines = [line for line in BASE_CFG.splitlines() if not line.startswith("initial_kind =")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + ['initial_kind = "bump"', f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert f"{key.removeprefix('initial_')} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
     ("grid_n", "Infinity"),  # int() raised OverflowError: a traceback and exit 1
     ("grid_n", "NaN"),
     ("grid_n", "2.5"),  # ran on 2 nodes
@@ -539,6 +562,9 @@ def test_string_in_a_list_key_exits_usage(tmp_path, capsys, command, key, value)
     ("domain_lengths", '[1.0, "abc"]', "abc"),
     ("initial_amplitude", '"abc"', "abc"),
     ("sigma", "[3]", [3]),  # "float() argument must be a string or a real number"
+    ("k_levels", '[0.1, "abc"]', "abc"),
+    ("initial_center", '["a", 0.5]', "a"),  # a numpy ufunc message
+    ("sweep_p", '["a"]', "a"),  # sweep: "Unknown format code 'g'"
 ])
 def test_non_numeric_float_key_exits_usage_naming_the_key(tmp_path, capsys, key, value, bad):
     lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -457,10 +458,10 @@ def _record_steps(monkeypatch) -> list:
     """(state, args, the factor handed in, result, kernel) of every step_imex call."""
     steps, real_step = [], evolve.step_imex
 
-    def recording_step(fld, *args, held, kernel):
-        stale = held[0]
-        new = real_step(fld, *args, held=held, kernel=kernel)
-        steps.append((fld, args, stale, new, kernel))
+    def recording_step(fld, *args, stepper):
+        stale = stepper.factor
+        new = real_step(fld, *args, stepper=stepper)
+        steps.append((fld, args, stale, new, stepper.kernel))
         return new
 
     monkeypatch.setattr(evolve, "step_imex", recording_step)
@@ -509,28 +510,61 @@ def test_later_sweeps_stop_cg_at_a_fraction_of_the_outer_residual(monkeypatch):
 
 
 def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
-    stepper = _ImexStepper(_imex_scenario(1.0))
-    u, t = make_initial(stepper.scenario.initial, stepper.scenario.grid).values, 0.0
+    sc = _imex_scenario(1.0)
+    stepper = _ImexStepper(sc.grid, sc.params, sc.coefficient, sc.eps_resolved, sc.dt_init)
+    u, t = make_initial(sc.initial, sc.grid).values, 0.0
     for _ in range(3):
-        u, t = stepper.advance(u, t, 1.0)
-    stale = stepper.held[0]
+        u, dt = stepper.advance(u, t, 1.0 - t)
+        t += dt
+    stale = stepper.factor
     steps = _record_steps(monkeypatch)
     recording_step, failed = evolve.step_imex, []
 
-    def failing_once(fld, *args, held, kernel):
+    def failing_once(fld, *args, stepper):
         if not failed:
             failed.append(args[0])
             raise NonConvergenceError("forced")
-        return recording_step(fld, *args, held=held, kernel=kernel)
+        return recording_step(fld, *args, stepper=stepper)
 
     monkeypatch.setattr(evolve, "step_imex", failing_once)
-    new, t_new = stepper.advance(u, t, 1.0)
+    new, dt = stepper.advance(u, t, 1.0 - t)
     monkeypatch.undo()
     assert stepper.rejected == 1 and failed == [2e-3]
-    assert t_new == t + 1e-3
+    assert dt == 1e-3 and dt != 1.0 - t  # the halved step does not land
     [(fld, args, handed, got, kernel)] = steps
     assert handed is stale and args[0] == 1e-3 and got.values is new and kernel is stepper.kernel
     assert _fresh_step_agrees(fld, args, got)
+
+
+@pytest.mark.parametrize("stepper", ["explicit", "imex"])
+def test_run_lands_exactly_on_the_sample_times(monkeypatch, stepper):
+    # the first sample comes before dt_init; the IMEX step to it fails once,
+    # so the halved step falls short and the next one lands
+    scenario = dataclasses.replace(_imex_scenario(0.02), stepper=stepper)
+    taken, failed = [], []  # (t, dt) of every step taken
+    real_step, real_update = evolve.step_imex, evolve._ExplicitStepper.update
+
+    def failing_once(fld, dt, *args, stepper):
+        if not failed:
+            failed.append(dt)
+            raise NonConvergenceError("forced")
+        taken.append((args[-1], dt))
+        return real_step(fld, dt, *args, stepper=stepper)
+
+    def recording_update(self, dt):
+        taken.append((self._t, dt))
+        return real_update(self, dt)
+
+    monkeypatch.setattr(evolve, "step_imex", failing_once)
+    monkeypatch.setattr(evolve._ExplicitStepper, "update", recording_update)
+    result = run(scenario)
+    samples = evolve._sample_times(scenario)
+    assert result.steps_rejected == (1 if stepper == "imex" else 0)
+    assert result.series.times.tolist() == [0.0] + samples
+    # each step starts where the last one ended, and every sample time is a step's end
+    ends = [t for t, _ in taken[1:]] + [scenario.t_end]
+    assert all(end == t + dt or end - t == dt for (t, dt), end in zip(taken, ends))
+    assert set(samples) <= set(ends)
 
 
 def test_step_imex_2d_nonlinear_matches_dense_picard():

@@ -407,7 +407,8 @@ def test_returned_states_are_not_overwritten_by_later_steps():
     u, t = fld.values, 0.0
     states = []
     for _ in range(4):
-        u, t = stepper.advance(u, t, 1.0)
+        u, dt = stepper.advance(u, t, 1.0 - t)
+        t += dt
         states.append((u, u.copy()))
     assert all(np.array_equal(a, b) for a, b in states)
     assert len({id(a) for a, _ in states}) == len(states)
@@ -435,7 +436,8 @@ def test_explicit_steps_allocate_only_the_new_state():
     tracemalloc.start()
     try:
         for _ in range(50):
-            u, t = stepper.advance(u, t, 1.0)
+            u, dt = stepper.advance(u, t, 1.0 - t)
+            t += dt
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -319,9 +319,9 @@ def test_check_envelope():
     # empty window is a vacuous pass
     rep = check_envelope(series_bad, "linf", bound, window=(5.0, 6.0))
     assert rep.passed and rep.vacuous and rep.n_checked == 0
-    # array bound must align
+    # bound values must align with the samples
     with pytest.raises(ValueError):
-        check_envelope(series_bad, "linf", np.ones(3))
+        check_envelope(series_bad, "linf", lambda t: np.ones(3))
 
 
 def test_calibrate_recovers_exact_rate():

@@ -81,11 +81,15 @@ def _defaults(keyed: dict) -> dict:
 
 
 def _values(cfg: dict, keyed: dict) -> dict:
-    """The config's values of the keyed fields, by field name; a float field's value as a float."""
+    """The config's values of the keyed fields, by field name; a float field's value as a float.
+
+    null passes through only to an Optional[float] field; in a float field it is an error naming the key.
+    """
     values = {}
     for key, f in keyed.items():
         value = cfg[key]
-        values[f.name] = value if value is None or f.type not in _FLOAT_TYPES else _config_float(value, key)
+        convert = f.type == "float" or (value is not None and f.type in _FLOAT_TYPES)
+        values[f.name] = _config_float(value, key) if convert else value
     return values
 
 

@@ -7,16 +7,17 @@ the current sup norm.  _ImexStepper runs step_imex, which treats diffusion
 implicitly (lagged diffusivity fixed point) and the gradient source
 explicitly; its sweeps solve by conjugate gradients preconditioned with a
 banded Cholesky factor, which _ImexStepper holds from step to step (with one
-FluxKernel for the run; step_imex gets both as its stepper) and which is
-renewed only when CG misses its tolerance.  A step's first sweep solves to
-IMEX_CG_FRACTION of the step's residual tolerance: it is the sweep that finds
-out whether the held factor has gone stale, so it is never loosened.  Each
-later sweep stops CG at IMEX_CG_FORCING times the previous sweep's nonlinear
-residual (an inexact fixed point, after Eisenstat & Walker's forcing terms):
-the next sweep re-linearizes anyway, and that residual is at least the
-tolerance whenever a sweep follows.  Each stepper's advance(u, t, dt_max)
-returns the new state and the dt it took; run() passes the time left to the
-next sample and lands on it exactly when the step took all of that time.
+FluxKernel for the run; step_imex gets both as its stepper).  Every sweep
+stops CG at IMEX_CG_FORCING times the nonlinear residual of the iterate it
+starts from (an inexact fixed point, after Eisenstat & Walker's forcing
+terms): the next sweep re-linearizes and discards any accuracy beyond it, and
+the step is accepted only once its own residual meets the tolerance.  A held
+factor that cannot reach that stop within IMEX_CG_MAX_ITER (2) iterations is
+stale, and the sweep renews it.  A step's first iterate extrapolates the last
+accepted step, u_n + (dt/dt_prev)(u_n - u_{n-1}), which _ImexStepper also
+holds.  Each stepper's advance(u, t, dt_max) returns the new state and the dt
+it took; run() passes the time left to the next sample and lands on it
+exactly when the step took all of that time.
 run() records one list per Scenario.columns label at geometrically spaced
 sample times, stops on overflow (sup norm past 1e12) or on an optional
 extinction floor, and returns in RunResult.metadata the `run` block of
@@ -55,9 +56,8 @@ U_FLOOR = 1e-12
 IMEX_MAX_ITER = 200
 IMEX_MAX_HALVINGS = 20
 IMEX_RTOL = 1e-10
-IMEX_CG_MAX_ITER = 8  # CG iterations per sweep, about one factorization's cost, before re-factoring
-IMEX_CG_FRACTION = 1e-3  # a step's first CG stops at this fraction of its residual tolerance
-IMEX_CG_FORCING = 0.1  # later sweeps' CG stops at this fraction of the previous sweep's residual
+IMEX_CG_MAX_ITER = 2  # CG iterations per sweep; a factor that needs more is stale and renewed
+IMEX_CG_FORCING = 0.1  # each sweep's CG stops at this fraction of its starting iterate's residual
 MAX_SAMPLE_TARGETS = 200000
 
 
@@ -572,21 +572,21 @@ def step_imex(
 
     The gradient source is explicit (frozen at time t).  Each sweep solves its
     own matrix by CG preconditioned with the banded Cholesky factor of an
-    earlier matrix, warm-started at the last iterate.  The first sweep's CG
-    stops at IMEX_CG_FRACTION of the step's residual tolerance: a held factor
-    too stale for the step shows only as a miss there, so it stays tight.
-    Each later sweep's CG stops at IMEX_CG_FORCING times the previous sweep's
-    nonlinear residual, since the next sweep re-linearizes and discards any
-    accuracy beyond it; the step is still accepted only once its own
-    residual is below the tolerance.  When CG misses its stop within
-    IMEX_CG_MAX_ITER iterations, or there is no factor yet, the sweep factors
-    its own matrix and solves with it directly.  stepper, when given, is the
-    _ImexStepper on fld's grid whose kernel the step works in and whose
-    factor (None at first) preconditions the first sweep; each new factor is
-    stored back into it.  Without it the step builds a fresh one, so the
-    first sweep always factors.  Raises NonConvergenceError on a non-finite
-    diffusivity or solution, a failed factorization, or after IMEX_MAX_ITER
-    sweeps.
+    earlier matrix, warm-started at the last iterate, and stops CG at
+    IMEX_CG_FORCING times the nonlinear residual of that iterate: the next
+    sweep re-linearizes and discards any accuracy beyond it, and the step is
+    accepted only once its own residual is below the tolerance.  When CG
+    misses its stop within IMEX_CG_MAX_ITER iterations the factor is stale,
+    or there is none yet: the sweep then factors its own matrix and solves
+    with it directly.  stepper, when given, is the _ImexStepper on fld's grid
+    whose kernel the step works in and whose factor (None at first)
+    preconditions the first sweep; each new factor is stored back into it.
+    When the stepper holds the previous accepted step (u_{n-1}, dt_prev), the
+    first iterate is u_n + (dt/dt_prev)(u_n - u_{n-1}); the source and the
+    right-hand side still use u_n.  Without a stepper the step builds a fresh
+    one, so it starts from u_n and its first sweep always factors.  Raises
+    NonConvergenceError on a non-finite diffusivity or solution, a failed
+    factorization, or after IMEX_MAX_ITER sweeps.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -602,20 +602,26 @@ def step_imex(
         b = b + dt * params.gamma * kernel.nodal_magnitude() ** params.q
     tol = IMEX_RTOL * (1.0 + lr_norm(fld.values, 2.0, grid.quad_weight))
     # the CG residual is Euclidean; lr_norm weighs each node by quad_weight
-    cg_atol = IMEX_CG_FRACTION * tol / math.sqrt(grid.quad_weight)
+    cg_scale = IMEX_CG_FORCING / math.sqrt(grid.quad_weight)
     flat_b = b.ravel()
 
     cur = fld.values
+    if stepper.previous is not None:
+        u_prev, dt_prev = stepper.previous
+        cur = cur + (dt / dt_prev) * (cur - u_prev)
+        kernel.load(cur)
     dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
     prev_res = float("inf")
-    for _ in range(IMEX_MAX_ITER):
+    for sweep in range(IMEX_MAX_ITER):
         if not all(np.all(np.isfinite(d)) for d in dfaces):
             raise NonConvergenceError(
                 "implicit solve produced non-finite values (non-finite face diffusivity)"
             )
+        if sweep == 0:  # a later sweep starts from the iterate whose residual ended the last one
+            res = lr_norm(cur - dt * kernel.divergence() - b, 2.0, grid.quad_weight)
         stencil = _ImplicitStencil.assemble(grid, dfaces, dt)
         factor = stepper.factor
-        x = None if factor is None else _pcg_sweep(stencil, factor, flat_b, cur.ravel(), cg_atol)
+        x = None if factor is None else _pcg_sweep(stencil, factor, flat_b, cur.ravel(), cg_scale * res)
         if x is None:
             stepper.factor = stencil.factor()
             x = _cho_solve(stepper.factor, flat_b)
@@ -635,8 +641,6 @@ def step_imex(
             dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
         cur = x
         prev_res = res
-        # res >= tol here, so a later sweep's CG stop is looser than the first one's
-        cg_atol = IMEX_CG_FORCING * res / math.sqrt(grid.quad_weight)
     raise NonConvergenceError(
         f"lagged-diffusivity iteration did not reach {tol} in {IMEX_MAX_ITER} sweeps"
     )
@@ -689,6 +693,9 @@ class _ImexStepper:
 
     Every step works in the one FluxKernel, kernel, and factor holds the last
     banded factor step_imex made (None at first), a rejected step's included.
+    previous holds (u_{n-1}, dt) of the last accepted step (None at first),
+    from which step_imex extrapolates its first iterate; a rejected attempt
+    leaves it as it was.
     """
 
     def __init__(
@@ -697,6 +704,7 @@ class _ImexStepper:
         self.grid, self.params, self.coeff, self.eps_reg, self.dt_init = grid, params, coeff, eps_reg, dt_init
         self.kernel = FluxKernel(grid)
         self.factor = None
+        self.previous = None
         self.rejected = 0
 
     def advance(self, u, t, dt_max):
@@ -705,7 +713,9 @@ class _ImexStepper:
             _step_size(t, dt)
             try:
                 fld = ScalarField(self.grid, u)
-                return step_imex(fld, dt, self.params, self.coeff, self.eps_reg, t, stepper=self).values, dt
+                new = step_imex(fld, dt, self.params, self.coeff, self.eps_reg, t, stepper=self).values
+                self.previous = (u, dt)
+                return new, dt
             except NonConvergenceError:
                 self.rejected += 1
                 if halvings == IMEX_MAX_HALVINGS:

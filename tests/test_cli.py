@@ -565,6 +565,13 @@ def test_string_in_a_list_key_exits_usage(tmp_path, capsys, command, key, value)
     ("k_levels", '[0.1, "abc"]', "abc"),
     ("initial_center", '["a", 0.5]', "a"),  # a numpy ufunc message
     ("sweep_p", '["a"]', "a"),  # sweep: "Unknown format code 'g'"
+    # null in a float (not Optional[float]) key printed only "float() argument must be ... not 'NoneType'"
+    ("dt_init", "null", None),
+    ("sample_ratio", "null", None),
+    ("alpha", "null", None),
+    ("initial_amplitude", "null", None),
+    ("stop_linf_atol", "null", None),
+    ("initial_cap", "null", None),
 ])
 def test_non_numeric_float_key_exits_usage_naming_the_key(tmp_path, capsys, key, value, bad):
     lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]

@@ -414,13 +414,13 @@ def _scipy_pcg(stencil, factor, b, x0, atol):
 
 @pytest.mark.parametrize("shape", [(9,), (7, 8), (1, 6), (12, 5)])
 @pytest.mark.parametrize("case", ["warm", "x0_zero", "zero_rhs", "misses"])
-def test_pcg_sweep_matches_scipy_cg_bit_for_bit(shape, case):
+def test_pcg_sweep_matches_scipy_cg_bit_for_bit(shape, case, monkeypatch):
     grid = Grid(shape, (1.0,) * len(shape) if len(shape) == 1 else (1.0, 1.3))
     rng = np.random.default_rng(len(case) + sum(shape))
     faces = _random_faces(grid, rng)
     stencil = _ImplicitStencil.assemble(grid, faces, 0.05)
-    # the factor of an earlier, nearby matrix, as step_imex holds it
-    earlier = _ImplicitStencil.assemble(grid, [f * rng.uniform(0.98, 1.02, f.shape) for f in faces], 0.04)
+    # the factor of an earlier matrix near enough for CG to converge within IMEX_CG_MAX_ITER
+    earlier = _ImplicitStencil.assemble(grid, [f * rng.uniform(1 - 1e-6, 1 + 1e-6, f.shape) for f in faces], 0.05)
     factor = earlier.factor()
     assert np.array_equal(factor, cholesky_banded(earlier.banded()))
     n = stencil.diag.size
@@ -435,6 +435,9 @@ def test_pcg_sweep_matches_scipy_cg_bit_for_bit(shape, case):
         assert want is None and got is None
     else:
         assert want is not None and got.tobytes() == want.tobytes()
+    if case in ("warm", "x0_zero"):  # the comparison covers every iteration up to the cap
+        monkeypatch.setattr(evolve, "IMEX_CG_MAX_ITER", evolve.IMEX_CG_MAX_ITER - 1)
+        assert _pcg_sweep(stencil, factor, b, x0, atol) is None
     assert evolve._cho_solve(factor, b).tobytes() == cho_solve_banded((factor, False), b).tobytes()
 
 
@@ -486,9 +489,8 @@ def test_run_holds_the_imex_factor_across_steps(monkeypatch):
         assert _fresh_step_agrees(fld, args, new)
 
 
-def test_later_sweeps_stop_cg_at_a_fraction_of_the_outer_residual(monkeypatch):
-    # the c4-like run applies the factor 761 times (1,567 with every sweep at the first one's stop)
-    factorizations = _count_factorizations(monkeypatch)
+def _count_solves(monkeypatch) -> list:
+    """One entry per preconditioner application or direct solve (one dpbtrs call each)."""
     solves, real_solve = [], evolve._cho_solve
 
     def counting_solve(factor, rhs):
@@ -496,11 +498,18 @@ def test_later_sweeps_stop_cg_at_a_fraction_of_the_outer_residual(monkeypatch):
         return real_solve(factor, rhs)
 
     monkeypatch.setattr(evolve, "_cho_solve", counting_solve)
+    return solves
+
+
+def test_later_sweeps_stop_cg_at_a_fraction_of_the_outer_residual(monkeypatch):
+    # pinned just above the measured 584 applications and 3 factorizations
+    factorizations = _count_factorizations(monkeypatch)
+    solves = _count_solves(monkeypatch)
     steps = _record_steps(monkeypatch)
     result = run(_imex_scenario(0.1))
     monkeypatch.undo()
     assert result.steps_rejected == 0 and result.steps_accepted == len(steps) == 68
-    assert len(solves) <= 900 and len(factorizations) <= 16
+    assert len(solves) <= 600 and len(factorizations) <= 3
     # every accepted state meets the outer test, recomputed without the stepper's kernel
     for fld, (dt, params, coeff, eps, t), _, new, _ in steps:
         assert params.gamma == 0.0  # no source: the right-hand side is the old state
@@ -516,11 +525,12 @@ def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
     for _ in range(3):
         u, dt = stepper.advance(u, t, 1.0 - t)
         t += dt
-    stale = stepper.factor
+    stale, held = stepper.factor, stepper.previous
     steps = _record_steps(monkeypatch)
-    recording_step, failed = evolve.step_imex, []
+    recording_step, failed, previous = evolve.step_imex, [], []
 
     def failing_once(fld, *args, stepper):
+        previous.append(stepper.previous)
         if not failed:
             failed.append(args[0])
             raise NonConvergenceError("forced")
@@ -534,6 +544,81 @@ def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
     [(fld, args, handed, got, kernel)] = steps
     assert handed is stale and args[0] == 1e-3 and got.values is new and kernel is stepper.kernel
     assert _fresh_step_agrees(fld, args, got)
+    # the failed attempt leaves the held previous step for the retry; the accepted one replaces it
+    assert previous[0] is held and previous[1] is held
+    assert stepper.previous[0] is u and stepper.previous[1] == 1e-3
+
+
+def test_c4_imex_work_stays_within_its_measured_counts(monkeypatch):
+    # the c4 run; pinned just above the measured 1,299 applications and 8 factorizations
+    factorizations = _count_factorizations(monkeypatch)
+    solves = _count_solves(monkeypatch)
+    result = run(Scenario(
+        params=P_FAST, grid=Grid((64, 64), (1.0, 1.0)), initial=InitialSpec(kind="bump"), t_end=2.0,
+        dt_init=2e-3, stepper="imex", sigma=2.0, r_list=(2.0,), stop_linf_atol=1e-10,
+    ))
+    monkeypatch.undo()
+    assert result.steps_accepted == 299 and result.steps_rejected == 0
+    assert len(solves) <= 1350 and len(factorizations) <= 9
+
+
+def _first_sweep_faces(monkeypatch) -> list:
+    """The face mobilities each step_imex call assembles its first sweep from."""
+    firsts, assemble = [], _ImplicitStencil.assemble.__func__
+    real_step = evolve.step_imex
+
+    def recording_step(*args, **kw):
+        firsts.append(None)
+        return real_step(*args, **kw)
+
+    def recording(cls, grid, dfaces, dt):
+        if firsts and firsts[-1] is None:
+            firsts[-1] = [d.copy() for d in dfaces]
+        return assemble(cls, grid, dfaces, dt)
+
+    monkeypatch.setattr(evolve, "step_imex", recording_step)
+    monkeypatch.setattr(_ImplicitStencil, "assemble", classmethod(recording))
+    return firsts
+
+
+def _mobility_of(values, sc, t) -> list:
+    kernel = evolve.FluxKernel(sc.grid)
+    kernel.load(values)
+    return [d.copy() for d in kernel.mobility(sc.coefficient, sc.params.p, sc.eps_resolved, t)]
+
+
+def test_imex_first_iterate_extrapolates_the_last_accepted_step(monkeypatch):
+    sc = _imex_scenario(1.0)
+    stepper = _ImexStepper(sc.grid, sc.params, sc.coefficient, sc.eps_resolved, sc.dt_init)
+    u0 = make_initial(sc.initial, sc.grid).values
+    firsts = _first_sweep_faces(monkeypatch)
+    u1, dt0 = stepper.advance(u0, 0.0, 1.0)
+    assert stepper.previous[0] is u0 and stepper.previous[1] == dt0
+    _, dt1 = stepper.advance(u1, dt0, 0.5 * dt0)
+    evolve.step_imex(ScalarField(sc.grid, u1), dt1, sc.params, sc.coefficient, sc.eps_resolved, dt0)
+    monkeypatch.undo()
+    # the first step has no history; the second starts from u1 + (dt1/dt0)(u1 - u0)
+    assert all(np.array_equal(a, b) for a, b in zip(firsts[0], _mobility_of(u0, sc, dt0)))
+    predicted = u1 + (dt1 / dt0) * (u1 - u0)
+    assert all(np.array_equal(a, b) for a, b in zip(firsts[1], _mobility_of(predicted, sc, dt0 + dt1)))
+    # the one-shot step_imex (stepper=None) has no history and starts from u_n
+    assert all(np.array_equal(a, b) for a, b in zip(firsts[2], _mobility_of(u1, sc, dt0 + dt1)))
+    assert not all(np.array_equal(a, b) for a, b in zip(firsts[1], firsts[2]))
+    assert stepper.previous[0] is u1 and stepper.previous[1] == dt1
+
+
+def test_imex_factor_from_a_4x_different_dt_is_renewed(monkeypatch):
+    sc = _imex_scenario(1.0)
+    stepper = _ImexStepper(sc.grid, sc.params, sc.coefficient, sc.eps_resolved, sc.dt_init)
+    u0 = make_initial(sc.initial, sc.grid)
+    args = (sc.params, sc.coefficient, sc.eps_resolved, 0.0)
+    step_imex(u0, 4.0 * sc.dt_init, *args, stepper=stepper)
+    stale = stepper.factor
+    factorizations = _count_factorizations(monkeypatch)
+    new = step_imex(u0, sc.dt_init, *args, stepper=stepper)
+    monkeypatch.undo()
+    assert len(factorizations) >= 1 and stepper.factor is not stale
+    assert _fresh_step_agrees(u0, (sc.dt_init, *args), new)
 
 
 @pytest.mark.parametrize("stepper", ["explicit", "imex"])

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from decaylab import evolve
 from decaylab.evolve import (
     CFL_SAFETY,
-    IMEX_CG_FRACTION,
     IMEX_CG_FORCING,
     IMEX_MAX_ITER,
     IMEX_RTOL,
@@ -164,15 +163,17 @@ def ref_step_imex(fld, dt, params, coeff, eps_reg, t):
     if params.gamma > 0.0:
         b = b + dt * params.gamma * ref_nodal_magnitude(comps) ** params.q
     tol = IMEX_RTOL * (1.0 + lr_norm(fld.values, 2.0, grid.quad_weight))
-    cg_atol = IMEX_CG_FRACTION * tol / math.sqrt(grid.quad_weight)
     flat_b = b.ravel()
     cur = fld.values
     dfaces = ref_face_mobility(comps, grid, coeff, p, eps_reg, t_new)
     factor = None
     prev_res = float("inf")
-    for _ in range(IMEX_MAX_ITER):
+    for sweep in range(IMEX_MAX_ITER):
         if not all(np.all(np.isfinite(d)) for d in dfaces):
             raise NonConvergenceError("non-finite face diffusivity")
+        if sweep == 0:  # the first CG stop is a fraction of the starting state's residual
+            res = lr_norm(cur - dt * ref_divergence(comps, dfaces, grid) - b, 2.0, grid.quad_weight)
+        cg_atol = IMEX_CG_FORCING * res / math.sqrt(grid.quad_weight)
         stencil = evolve._ImplicitStencil(*ref_assemble(grid, dfaces, dt))
         x = None if factor is None else evolve._pcg_sweep(stencil, factor, flat_b, cur.ravel(), cg_atol)
         if x is None:
@@ -193,7 +194,6 @@ def ref_step_imex(fld, dt, params, coeff, eps_reg, t):
             dfaces = ref_face_mobility(ref_face_components(x, grid.spacing), grid, coeff, p, eps_reg, t_new)
         cur = x
         prev_res = res
-        cg_atol = IMEX_CG_FORCING * res / math.sqrt(grid.quad_weight)
     raise NonConvergenceError("no convergence")
 
 

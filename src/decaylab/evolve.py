@@ -243,6 +243,19 @@ class Scenario:
             raise ValueError(f"eps_reg must be finite and >= 0, got {self.eps_reg}")
         if self.sigma is not None and not 1.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 1, got {self.sigma}")
+        # two values with one label in columns would share a series column;
+        # the order 1 is always recorded, as l1
+        for key, labelled in (
+            ("r_list", [(1.0, "l1")] + [(r, f"l{r:g}") for r in self.norm_orders]),
+            ("k_levels", [(k, f"gk{k:g}") for k in self.k_levels]),
+        ):
+            seen = {}
+            for value, label in labelled:
+                if label in seen:
+                    raise ValueError(
+                        f"{key} values {seen[label]!r} and {value!r} share the column label {label!r}"
+                    )
+                seen[label] = value
 
     @property
     def eps_resolved(self) -> float:
@@ -599,7 +612,7 @@ def step_imex(
     kernel.load(fld.values)
     b = fld.values.copy()
     if params.gamma > 0.0:
-        b = b + dt * params.gamma * kernel.nodal_magnitude() ** params.q
+        b = b + dt * params.gamma * _power(kernel.nodal_magnitude(), params.q)
     tol = IMEX_RTOL * (1.0 + lr_norm(fld.values, 2.0, grid.quad_weight))
     # the CG residual is Euclidean; lr_norm weighs each node by quad_weight
     cg_scale = IMEX_CG_FORCING / math.sqrt(grid.quad_weight)

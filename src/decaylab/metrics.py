@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .field import POW_FREE, _power
 from .fileio import atomic_write_text
 
 
@@ -59,19 +60,26 @@ def truncate_excess(z, k: float):
     return np.subtract(z, excess, out=excess)
 
 
-def _power_sum(ex: np.ndarray, sigma: float) -> float:
-    """np.sum(ex ** sigma) for ex >= 0 and sigma > 0, bit for bit.
+def _powers(ex: np.ndarray, sigma: float) -> np.ndarray:
+    """_power(ex, sigma), a new array, for ex >= 0 and sigma > 0, bit for bit.
 
-    numpy's SIMD pow takes a slow path for every lane that is 0, which makes
-    it several times slower on a mostly-zero excess.  Those lanes are raised
-    as 1 and then set back to 0 (= 0 ** sigma), so the powers and their sum
-    are exactly those of ex ** sigma.
+    For a sigma in POW_FREE that is the sqrt or the products, which have no
+    slow path.  For any other sigma numpy's SIMD pow takes a slow path for
+    every lane that is 0, which makes it several times slower on a
+    mostly-zero excess; those lanes are raised as 1 and then set back to 0
+    (= 0 ** sigma), so the powers are exactly np.power's.
     """
+    if sigma in POW_FREE:
+        return _power(ex, sigma)
     zero = np.equal(ex, 0.0, out=np.empty_like(ex))  # 1.0 on the zero lanes
     powers = np.add(ex, zero)
-    np.power(powers, sigma, out=powers)
-    np.subtract(powers, zero, out=powers)
-    return float(np.add.reduce(powers, axis=None))
+    _power(powers, sigma, out=powers)
+    return np.subtract(powers, zero, out=powers)
+
+
+def _power_sum(ex: np.ndarray, sigma: float) -> float:
+    """The sum of _powers(ex, sigma): np.sum(_power(ex, sigma)) bit for bit."""
+    return float(np.add.reduce(_powers(ex, sigma), axis=None))
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +87,18 @@ def _power_sum(ex: np.ndarray, sigma: float) -> float:
 
 
 def lr_norm(values, r: float, weight: float) -> float:
-    """Discrete Lebesgue norm of order r in [1, inf] of nodal values with node weight."""
+    """Discrete Lebesgue norm of order r in [1, inf] of nodal values with node weight.
+
+    The powers |values| ** r are _power's: products for r = 3 and 4, pow
+    only for an r outside POW_FREE.
+    """
     values = np.asarray(values, dtype=float)
     if math.isinf(r):
         return float(np.maximum.reduce(np.abs(values), axis=None, initial=0.0))
     if r < 1.0:
         raise ValueError(f"norm order must be >= 1, got {r}")
-    return float(np.add.reduce(np.abs(values) ** r, axis=None) * float(weight)) ** (1.0 / r)
+    mag = np.abs(values)
+    return float(np.add.reduce(_power(mag, r, out=mag), axis=None) * float(weight)) ** (1.0 / r)
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,21 @@ def test_simulate_non_finite_input_exits_before_stepping(tmp_path, capsys, key, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, label", [
+    ("r_list", "[2, 2.0000001]", "l2"),  # one l2 column, holding the L^2.0000001 norm
+    ("k_levels", "[0.1, 0.1000001]", "gk0.1"),
+    ("r_list", "[1.0000001]", "l1"),  # overwrote the L^1 column
+])
+def test_simulate_values_sharing_a_column_label_exit_usage(tmp_path, capsys, key, value, label):
+    lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{key} values" in err and f"share the column label {label!r}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("initial_center", "[NaN]"),  # a zero datum, reported as extinct at t = 0
     ("initial_radius", "NaN"),  # the same

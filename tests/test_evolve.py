@@ -779,6 +779,23 @@ def test_scenario_rejects_non_finite_numbers(name, value):
         _scenario(**{name: value})
 
 
+# two values whose labels print alike: dict(zip(columns, norms)) kept the
+# last one, and series.csv had one column holding the last value's norm
+COLLIDING_LABELS = [
+    ("r_list", (2.0, 2.0000001), "'l2'"),
+    ("k_levels", (0.1, 0.1000001), "'gk0.1'"),
+    ("r_list", (1.0000001,), "'l1'"),  # the L^1 column, always recorded
+]
+
+
+@pytest.mark.parametrize("key, values, label", COLLIDING_LABELS)
+def test_scenario_rejects_values_sharing_a_column_label(key, values, label):
+    first, second = (1.0, *values) if len(values) == 1 else values
+    with pytest.raises(ValueError) as caught:
+        _scenario(**{key: values})
+    assert str(caught.value) == f"{key} values {first!r} and {second!r} share the column label {label}"
+
+
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -1.0])
 def test_initial_amplitude_must_be_finite_and_nonnegative(amplitude):
     with pytest.raises(ValueError, match="amplitude"):
@@ -843,29 +860,36 @@ def test_run_records_requested_columns_and_snapshots():
     assert np.allclose(res.series.column("gk0_lsigma"), res.series.column("l2"), rtol=1e-12)
 
 
+# orders with pow (3.5), with the square (2) and with the products (3, 4)
+RECOMPUTED_ORDERS = (1.0, 2.0, 3.0, 3.5, 4.0, math.inf)
+
+
 def test_run_columns_equal_their_recomputation_from_the_snapshots():
     params = ProblemParams(p=1.9, q=1.6, dim_n=2, gamma=0.3)
-    s = Scenario(
-        params=params,
-        grid=Grid((9, 8), (1.0, 1.5)),
-        initial=InitialSpec(kind="bump"),
-        t_end=4e-3,
-        r_list=(1.0, 2.0, 3.5, math.inf),
-        k_levels=(0.0, 0.2),
-        snapshot_times=(0.0, 1e-3, 2.5e-3, 4e-3),
-    )
-    assert classify(params).regime is Regime.SUPERLINEAR_SIGMA and s.sigma_resolved not in (1.0, 2.0)
-    _assert_columns_recomputed(s, run(s))
+    assert classify(params).regime is Regime.SUPERLINEAR_SIGMA
+    for sigma in (None, 3.0):  # the classified sigma (pow) and a pinned integer one (products)
+        s = Scenario(
+            params=params,
+            grid=Grid((9, 8), (1.0, 1.5)),
+            initial=InitialSpec(kind="bump"),
+            t_end=4e-3,
+            r_list=RECOMPUTED_ORDERS,
+            k_levels=(0.0, 0.2),
+            snapshot_times=(0.0, 1e-3, 2.5e-3, 4e-3),
+            sigma=sigma,
+        )
+        assert s.sigma_resolved == 3.0 if sigma else s.sigma_resolved not in (1.0, 2.0, 3.0, 4.0)
+        _assert_columns_recomputed(s, run(s))
 
 
 def _assert_columns_recomputed(s: Scenario, res) -> None:
-    """Every column at every snapshot == its lr_norm/truncate_excess recomputation (r_list 1, 2, 3.5, inf)."""
+    """Every column at every snapshot == its lr_norm/truncate_excess recomputation."""
     assert [ts for ts, _ in res.snapshots] == list(s.snapshot_times)
     w, sigma = s.grid.quad_weight, s.sigma_resolved
     for ts, snap in res.snapshots:
         (i,) = np.flatnonzero(res.series.times == ts)
         want = {"linf": lr_norm(snap.values, math.inf, w), "l1": lr_norm(snap.values, 1.0, w)}
-        want.update((f"l{r:g}", lr_norm(snap.values, r, w)) for r in (2.0, 3.5))
+        want.update((f"l{r:g}", lr_norm(snap.values, r, w)) for r in s.norm_orders)
         for k in s.k_levels:
             excess = truncate_excess(snap.values, k)
             want[f"gk{k:g}_lsigma"] = lr_norm(excess, sigma, w)
@@ -880,8 +904,9 @@ def _assert_columns_recomputed(s: Scenario, res) -> None:
     st.sampled_from(["explicit", "imex"]),
     st.sampled_from(["bump", "eigenfunction", "zero"]),
     st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0), min_size=1, max_size=4),
+    st.sampled_from([None, 3.0]),
 )
-def test_run_columns_equal_their_recomputation_at_levels_around_the_sup(stepper, kind, fractions):
+def test_run_columns_equal_their_recomputation_at_levels_around_the_sup(stepper, kind, fractions, sigma):
     # levels below, at and above the initial sup; with the zero datum every
     # level is at or above the sup, whose columns run() records as 0.0
     # without computing them
@@ -894,9 +919,10 @@ def test_run_columns_equal_their_recomputation_at_levels_around_the_sup(stepper,
         initial=initial,
         t_end=1e-3,
         stepper=stepper,
-        r_list=(1.0, 2.0, 3.5, math.inf),
+        r_list=RECOMPUTED_ORDERS,
         k_levels=tuple(f * sup0 for f in fractions) + (0.1,),
         snapshot_times=(0.0, 2e-4, 1e-3),
+        sigma=sigma,
     )
     _assert_columns_recomputed(s, run(s))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decaylab.field import (
+    POW_FREE,
     CoefficientField,
     Grid,
     ScalarField,
@@ -12,6 +13,7 @@ from decaylab.field import (
     gradient_magnitude,
     p_flux_divergence,
     read_field_csv,
+    _power,
     write_field_csv,
 )
 
@@ -388,3 +390,44 @@ def test_read_field_csv_rejects_another_domain(tmp_path, written, read):
     write_field_csv(ScalarField(written, np.ones(written.shape)), path)
     with pytest.raises(ValueError, match="line 2: node"):
         read_field_csv(path, read)
+
+
+# ---------------------------------------------------------------------------
+# the one array power
+
+
+def _power_inputs():
+    """Zeros of both signs, subnormals, the normal range, values whose powers
+    overflow to inf, and the infinities, each with both signs."""
+    rng = np.random.default_rng(19)
+    spread = np.abs(rng.standard_normal(4000)) * 10.0 ** rng.integers(-320, 309, 4000).astype(float)
+    specials = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-103, 1e-78, 1.0, 1e77, 1e103,
+                1e155, 1e300, 1.7976931348623157e308, math.inf]
+    x = np.concatenate([spread, specials])
+    return np.concatenate([x, -x])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("e", [0.5, 1.0, 2.0, 3.0, 4.0, 1.5, -0.05, 0.8, 5.0, 2.9999999999999996,
+                               3.0000000000000013, 4.000000000000001])
+def test_power_is_its_stated_formula_bitwise(e):
+    x = _power_inputs()
+    with np.errstate(all="ignore"):
+        if e in (3.0, 4.0):
+            want = (x * x) * x if e == 3.0 else (x * x) * (x * x)
+        elif e in POW_FREE:
+            want = x ** e
+        else:
+            want = np.power(x, e)
+        got = _power(x, e)
+        into = np.empty_like(x)
+        assert _power(x, e, out=into) is into
+        in_place = x.copy()
+        assert _power(in_place, e, out=in_place) is in_place
+    assert POW_FREE == {0.5, 1.0, 2.0, 3.0, 4.0}
+    for result in (got, into, in_place):
+        assert np.array_equal(_bits(result), _bits(want)), e
+    assert np.array_equal(_bits(x), _bits(_power_inputs()))  # x itself is untouched

@@ -11,6 +11,7 @@ from decaylab.metrics import (
     InsufficientDataError,
     NormSeries,
     _power_sum,
+    _powers,
     calibrate_decay_rate,
     check_envelope,
     envelope_extinction_time,
@@ -77,7 +78,7 @@ def _bits(values):
 
 
 EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, -1.0])
-SIGMAS = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 14.0 / 3.0]), st.floats(1.0, 8.0))
+SIGMAS = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, 3.0000000000000013, 14.0 / 3.0]), st.floats(1.0, 8.0))
 
 
 @st.composite
@@ -95,13 +96,26 @@ def excess_arrays(draw):
     return ex
 
 
+def stated_powers(x, e):
+    """x ** e by _power's stated formula: the products for e = 3 and 4, x ** e otherwise."""
+    if e == 3.0:
+        return (x * x) * x
+    if e == 4.0:
+        return (x * x) * (x * x)
+    return x**e
+
+
 @settings(max_examples=400)
 @given(excess_arrays(), SIGMAS)
 def test_power_sum_is_the_sum_of_powers_bitwise(ex, sigma):
+    # the terms, not only their sum: a one-ulp change in a term usually
+    # vanishes in the sum
     with np.errstate(over="ignore", under="ignore"):
-        want = np.sum(ex**sigma)
+        terms = stated_powers(ex, sigma)
+        got_terms = _powers(ex, sigma)
         got = _power_sum(ex, sigma)
-    assert _bits(got) == _bits(want)
+    assert np.array_equal(_bits(got_terms), _bits(terms))
+    assert _bits(got) == _bits(np.sum(terms))
 
 
 # the edges of the double range: signed zeros, subnormals, the smallest
@@ -142,6 +156,17 @@ def test_lr_norm_frozen_values():
     assert lr_norm(np.array([-2.0, 1.0]), math.inf, weight=1.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         lr_norm(np.array([1.0]), 0.5, weight=1.0)
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0, 3.5, 4.0])
+def test_lr_norm_sums_the_helpers_powers_bitwise(r):
+    # one-entry arrays keep an ulp of the power visible through the root
+    rng = np.random.default_rng(5)
+    arrays = list(rng.standard_normal((2000, 1)) * 10.0 ** rng.integers(-60, 60, (2000, 1)))
+    arrays += list(rng.standard_normal((20, 64)))
+    for values in arrays:
+        want = float(np.sum(stated_powers(np.abs(values), r)) * 0.25) ** (1.0 / r)
+        assert _bits(lr_norm(values, r, 0.25)) == _bits(want), values
 
 
 def test_norm_series_basics():

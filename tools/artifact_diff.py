@@ -19,10 +19,12 @@ thread, every config below from this repository:
 Every file the two trees write is compared byte for byte, and so is each
 command's exit code.  In sweep_summary.json the output root is replaced by a
 placeholder first, so its paths never count.  For each series.csv that
-differs, the largest relative deviation |a - b| / max(|a|, |b|) over the
-columns both files share is printed too, with the row and column where it
-occurs.  Only the standard library is used.  Exit status: 0 when everything
-is identical, 1 when anything differs, 2 on a usage error.
+differs, every column the two files share and do not agree on is listed
+with its own largest relative deviation |a - b| / max(|a|, |b|) and the row
+where it occurs, worst first, so a shared column left out agrees on every
+row both files have; columns only one file has are named.  Only the
+standard library is used.  Exit status: 0 when everything is identical, 1
+when anything differs, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -148,14 +150,15 @@ def run_tree(src: Path, out: Path, plan) -> dict:
 
 
 def series_deviation(old: Path, new: Path) -> str:
-    """The largest relative deviation between two series.csv files, and where it is."""
+    """Every column that differs between two series.csv files, each with its own largest
+    relative deviation and where it occurs, worst first."""
     tables = []
     for path in (old, new):
         with open(path, newline="") as handle:
             tables.append(list(csv.reader(handle)))
     (head_a, *rows_a), (head_b, *rows_b) = tables
     shared = [(head_a.index(c), head_b.index(c), c) for c in head_a if c in head_b]
-    worst, where = 0.0, "nowhere"
+    worst = {}  # column: (largest deviation, its first row)
     for row, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
         for i, j, column in shared:
             if ra[i] == rb[j]:
@@ -166,9 +169,14 @@ def series_deviation(old: Path, new: Path) -> str:
                 dev = math.inf
             else:
                 dev = abs(a - b) / scale if scale else 0.0
-            if dev > worst:
-                worst, where = dev, f"row {row} ({head_a[0]} = {ra[0]}), column {column}"
-    return f"max rel dev {worst:.3e} at {where}; {len(rows_a)} rows -> {len(rows_b)}"
+            if column not in worst or dev > worst[column][0]:
+                worst[column] = (dev, f"row {row}, {head_a[0]} = {ra[0]}")
+    ranked = sorted(worst.items(), key=lambda item: -item[1][0])
+    listed = "; ".join(f"{column} {dev:.3e} at {where}" for column, (dev, where) in ranked)
+    unshared = sorted(set(head_a) ^ set(head_b))
+    return (f"{len(rows_a)} rows -> {len(rows_b)}; {len(worst)} of {len(shared)} shared columns differ"
+            + (f" ({listed})" if listed else "")
+            + (f"; in one file only: {', '.join(unshared)}" if unshared else ""))
 
 
 def files(root: Path) -> set:

@@ -13,9 +13,11 @@ in one flat, zero-bordered padded buffer and computes the face gradients, the
 face mobility, the nodal |grad u| and the divergence with in-place ufuncs,
 each over one contiguous range of that flat index space and into its own
 64-byte-aligned arrays, so a time stepper that keeps one kernel for a run
-allocates only the new state per step.  In 2D the ranges cross the border
-columns; those lanes are computed and never read, and every result is a
-strided view of the real faces or nodes.  The public functions below use a
+allocates only the new state per step.  The centred difference of each axis
+is formed once per state, divided by 4h, and serves both the tangential term
+on the other axes' faces and the nodal |grad u|.  In 2D the ranges cross the
+border columns; those lanes are computed and never read, and every result is
+a strided view of the real faces or nodes.  The public functions below use a
 kernel of their own.
 """
 
@@ -148,18 +150,20 @@ class CoefficientField:
 
 
 # the exponents _power evaluates without numpy's general pow routine
-POW_FREE = frozenset((0.5, 1.0, 2.0, 3.0, 4.0))
+POW_FREE = frozenset((0.5, 1.0, 1.5, 2.0, 3.0, 4.0))
 
 
 def _power(x: np.ndarray, e: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """x ** e, into out if given (out may be x): every power the steppers and norms take.
 
     An e in POW_FREE, by exact equality, skips pow: e = 0.5 and 2 take the
-    sqrt and square that numpy's ** uses, e = 1 copies x, e = 3 is (x*x)*x
-    and e = 4 is (x*x)*(x*x).  Those are x ** e bit for bit for e = 0.5, 1
-    and 2; for e = 3 and 4 each product is rounded once, so a result may
-    differ from pow's by an ulp, at about a quarter of pow's cost.  Every
-    other e, 3.0000000000000013 included, goes to np.power.
+    sqrt and square that numpy's ** uses, e = 1 copies x, e = 1.5 is
+    sqrt(x)*x, e = 3 is (x*x)*x and e = 4 is (x*x)*(x*x).  Those are x ** e
+    bit for bit for e = 0.5, 1 and 2; for e = 1.5, 3 and 4 each factor and
+    product is rounded once, so a result may differ from pow's by an ulp, at
+    about a third to a quarter of pow's cost.  With out given and not x,
+    none of them allocates.  Every other e, 3.0000000000000013 included,
+    goes to np.power.
     """
     if e == 0.5:
         return np.sqrt(x, out=out)
@@ -167,9 +171,9 @@ def _power(x: np.ndarray, e: float, out: Optional[np.ndarray] = None) -> np.ndar
         return np.positive(x, out=out)
     if e == 2.0:
         return np.square(x, out=out)
-    if e == 3.0:
-        square = np.square(x)
-        return np.multiply(square, x, out=square if out is None else out)
+    if e in (1.5, 3.0):  # sqrt(x) * x or (x*x) * x: the first factor goes to out unless out is x
+        first = (np.sqrt if e == 1.5 else np.square)(x, out=None if out is x else out)
+        return np.multiply(first, x, out=first if out is None else out)
     if e == 4.0:
         square = np.square(x, out=out)
         return np.square(square, out=square)
@@ -182,33 +186,42 @@ class FluxKernel:
     The state lives in one flat padded buffer: the interior nodes with a
     border of Dirichlet zeros, (n0+2)(n1+2) doubles in C order (n+2 in 1D).
     A face normal to an axis is indexed there by the node below it, and a
-    node's neighbours sit at fixed offsets: +-stride along each axis, and the
-    corner nodes of a tangential difference at +-stride+-1.  So each face
-    quantity of an axis (gradient, tangential term, squared magnitude,
-    mobility, flux) is one ufunc over one contiguous index range, from the
-    axis's first real face to its last, and each node quantity (|grad u|,
-    divergence) likewise over the range from the first real node to the
-    last.  Every real face and node gets the floating-point operations, in
-    the order, of the per-axis formulas.
+    node's neighbours sit at fixed offsets, +-stride along each axis.  So the
+    scaled centred difference d_a = (u(n + stride_a) - u(n - stride_a)) / 4h_a
+    of every stored node is two ufuncs per axis, the faces of an axis form
+    one contiguous index range, from its first real face to its last, and
+    the nodes one range from the first real node to the last.  Each face
+    quantity (gradient, squared magnitude, mobility, and the tangential term
+    and then the flux) is one array holding every axis's face range, one
+    after another.  A step that is the same on every axis (a square, a sum,
+    the mobility power, the flux) is one ufunc over that whole array; a step
+    that differs per axis (a difference, a division by h) is one ufunc over
+    each axis's range, and each node quantity (|grad u|, divergence) is one
+    ufunc per step over the node range.  Every real face and node gets the
+    floating-point operations, in the order, of the per-axis formulas.
 
     In 2D those ranges also cross the border columns.  Their lanes are
     computed but never read: a border face lies between two zero nodes, so
     its gradient is zero and, with eps_reg = 0 and p < 2, its mobility is
-    infinite and its flux NaN.  Every returned array sees only the real
-    faces and nodes, through strided views of face or grid shape.  The
-    maxima and the finiteness check first write 0 into the border lanes
-    (mobilities and magnitudes are >= 0, so a 0 never wins a maximum) and
-    then reduce the whole contiguous range.
+    infinite and its flux NaN.  The few lanes between two axes' face ranges
+    are computed likewise.  Every returned array sees only the real faces
+    and nodes, through strided views of face or grid shape.  The maxima and
+    the finiteness check first write 0 into the lanes that are no real face
+    or node (mobilities and magnitudes are >= 0, so a 0 never wins a
+    maximum) and then reduce the whole contiguous array.
 
     Every buffer is carved from one slab per kernel and starts on a
-    64-byte boundary, so the contiguous passes run on aligned output
-    whatever the process allocated before.
+    64-byte boundary, and so does each axis's face range, so the
+    contiguous passes run on aligned output whatever the process allocated
+    before.
 
     load(values) copies a state into the padded buffer and forms, per axis,
-    the normal gradient and the squared full gradient on that axis's faces;
-    mobility(), nodal_magnitude() and divergence() read them.  Every result
-    is a view of the kernel's own arrays and the next call that computes it
-    overwrites it, so a caller that keeps a result copies it.
+    d_a on the nodes, and the normal gradient and the squared full gradient
+    on that axis's faces, whose tangential term along another axis b is the
+    sum of d_b over the face's two nodes; mobility(), nodal_magnitude() and
+    divergence() read them.  Every result is a view of the kernel's own
+    arrays and the next call that computes it overwrites it, so a caller
+    that keeps a result copies it.
     """
 
     def __init__(self, grid: Grid):
@@ -216,22 +229,37 @@ class FluxKernel:
         self._spacing = grid.spacing
         dim, shape = grid.dim, grid.shape
         padded = tuple(n + 2 for n in shape)
+        size = math.prod(padded)
         strides = [math.prod(padded[a + 1:]) for a in range(dim)]
         faces = [tuple(n + (a == axis) for a, n in enumerate(shape)) for axis in range(dim)]
         # the flat index ranges, from the first real face or node to the last
         first_face = [sum(strides) - s for s in strides]
         face_len = [sum((n - 1) * s for n, s in zip(f, strides)) + 1 for f in faces]
+        first_node = sum(strides)
         node_len = sum((n - 1) * s for n, s in zip(shape, strides)) + 1
 
+        # where each axis's face range starts in a face array: on a 64-byte boundary
+        offsets = [0]
+        for n in face_len[:-1]:
+            offsets.append(offsets[-1] + -(-n // _LANES) * _LANES)
+        face_total = offsets[-1] + face_len[-1]
+
         self._buffers = _aligned_buffers(
-            [math.prod(padded)] + [n for n in face_len for _ in range(4)] + [node_len] * 3
+            [size] + [face_total] * 4 + [size - 2 * s for s in strides] + [node_len] * 3
         )
-        state, face_bufs = self._buffers[0], self._buffers[1:-3]
+        state, scaled = self._buffers[0], self._buffers[5 : 5 + dim]
         self._nodal, self._div, self._node_work = self._buffers[-3:]
         state.fill(0.0)  # the Dirichlet border
         self._interior = state.reshape(padded)[(slice(1, -1),) * dim]
-        # per axis; face_work holds the tangential term, then the flux
-        self._grad, self._mag2, self._mob, self._face_work = (face_bufs[k::4] for k in range(4))
+        # grad, mag2, mob and a work array (the tangential term, then the flux),
+        # and each axis's range of grad, mob and the work array
+        self._face_arrays = self._buffers[1:5]
+        for array in self._face_arrays:
+            array.fill(0.0)  # the lanes between two axes' ranges start finite
+        grad, _, mob, work = self._face_arrays
+        self._grad, self._mob, self._face_work = (
+            [array[o : o + n] for o, n in zip(offsets, face_len)] for array in (grad, mob, work)
+        )
         # the real faces and nodes: views with the padded state's strides
         byte_strides = tuple(8 * s for s in strides)
         self._grad_faces = [np.ndarray(f, buffer=g, strides=byte_strides) for g, f in zip(self._grad, faces)]
@@ -239,84 +267,110 @@ class FluxKernel:
         self._nodal_nodes = np.ndarray(shape, buffer=self._nodal, strides=byte_strides)
         self._div_nodes = np.ndarray(shape, buffer=self._div, strides=byte_strides)
 
-        def border_lanes(real: tuple, length: int) -> np.ndarray:
-            """The flat indices of a range's lanes that are no real face or node."""
+        def border_lanes(length: int, ranges) -> np.ndarray:
+            """The indices of the lanes that are no real face or node, given each
+            range as (its first lane, the shape of its real faces or nodes)."""
             lanes = np.ones(length, dtype=bool)
-            np.ndarray(real, dtype=bool, buffer=lanes, strides=tuple(strides))[...] = False
+            for first, real in ranges:
+                np.ndarray(real, dtype=bool, buffer=lanes[first:], strides=tuple(strides))[...] = False
             return np.flatnonzero(lanes)
 
-        self._face_border = [border_lanes(f, n) for f, n in zip(faces, face_len)]
-        self._node_border = border_lanes(shape, node_len)
+        self._face_border = border_lanes(face_total, zip(offsets, faces))
+        self._node_border = border_lanes(node_len, [(0, shape)])
         self._finite = np.empty(node_len, dtype=bool)
+
+        # per axis, the scaled centred difference d[k] = (u[n + s] - u[n - s]) / 4h
+        # of node n = k + s: every node whose two neighbours along the axis are stored
+        self._differences = [
+            (state[2 * s :], state[: size - 2 * s], d, 4.0 * h)
+            for d, s, h in zip(scaled, strides, self._spacing)
+        ]
 
         def shifted(axis: int, offset: int) -> np.ndarray:
             """The state over axis's face range, offset entries on."""
             start = first_face[axis] + offset
             return state[start : start + face_len[axis]]
 
-        # per axis: the nodes above and below each face, and per other axis the
-        # four corner nodes of the tangential difference with its divisor
+        def scaled_at(other: int, axis: int, offset: int) -> np.ndarray:
+            """other's d over axis's face range, offset entries on."""
+            start = first_face[axis] + offset - strides[other]
+            return scaled[other][start : start + face_len[axis]]
+
+        # per axis: the nodes above and below each face, and per other axis
+        # its d at those two nodes
         self._stencils = [
             (shifted(axis, s), shifted(axis, 0), [
-                (shifted(axis, s + so), shifted(axis, s - so), shifted(axis, so), shifted(axis, -so),
-                 4.0 * self._spacing[other])
-                for other, so in enumerate(strides) if other != axis
+                (scaled_at(other, axis, 0), scaled_at(other, axis, s))
+                for other in range(dim) if other != axis
             ])
             for axis, s in enumerate(strides)
         ]
+        # per axis, d at the nodes
+        self._scaled_nodes = [d[first_node - s : first_node - s + node_len] for d, s in zip(scaled, strides)]
         # per axis, the faces above and below each node: the lower face of the
-        # first node (flat index sum(strides)) is the axis's first face
-        self._grad_halves = [(g[s : s + node_len], g[:node_len]) for g, s in zip(self._grad, strides)]
+        # first node is the axis's first face
         self._flux_halves = [(f[s : s + node_len], f[:node_len]) for f, s in zip(self._face_work, strides)]
 
     def load(self, values: np.ndarray) -> None:
-        """Face components of a state: grad = (u+ - u-)/h, mag2 = grad^2 + tangential^2."""
+        """Face components of a state: grad = (u+ - u-)/h, mag2 = grad^2 + tangential^2.
+
+        The tangential term of a face along another axis b is
+        d_b(below) + d_b(above), with d_b = (u(x + h_b) - u(x - h_b)) / 4h_b at
+        the two nodes x beside the face: the average of their centred
+        differences, each divided by 2h_b.  Each d_b is formed once per state,
+        with its one division, and nodal_magnitude() reuses it.
+        """
         self._interior[...] = values
-        for axis, (hi, lo, corners) in enumerate(self._stencils):
-            h = self._spacing[axis]
-            g, m2, tan = self._grad[axis], self._mag2[axis], self._face_work[axis]
+        for hi, lo, d, scale in self._differences:
+            np.subtract(hi, lo, out=d)
+            np.divide(d, scale, out=d)
+        for (hi, lo, _), g, h in zip(self._stencils, self._grad, self._spacing):
             np.subtract(hi, lo, out=g)
             np.divide(g, h, out=g)
-            np.multiply(g, g, out=m2)
-            for a, b, c, d, scale in corners:
-                # the average of the two centered differences across the face
-                np.subtract(a, b, out=tan)
-                np.add(tan, c, out=tan)
-                np.subtract(tan, d, out=tan)
-                np.divide(tan, scale, out=tan)
-                np.multiply(tan, tan, out=tan)
-                np.add(m2, tan, out=m2)
+        grad, mag2, _, tan = self._face_arrays
+        np.multiply(grad, grad, out=mag2)
+        for k in range(self.grid.dim - 1):  # the k-th other axis of every axis
+            for (_, _, tangents), t in zip(self._stencils, self._face_work):
+                np.add(*tangents[k], out=t)
+            np.multiply(tan, tan, out=tan)
+            np.add(mag2, tan, out=mag2)
 
     def mobility(self, coeff: CoefficientField, p: float, eps_reg: float, t: float) -> list:
         """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces."""
+        _, mag2, mob, _ = self._face_arrays
         with np.errstate(divide="ignore"):
-            for axis, (m2, m, faces) in enumerate(zip(self._mag2, self._mob, self._mob_faces)):
-                if p == 2.0:
-                    m.fill(1.0)
-                else:
-                    np.add(m2, eps_reg * eps_reg, out=m)
-                    _power(m, (p - 2.0) / 2.0, out=m)
-                if coeff.kind != "identity":
-                    np.multiply(coeff.face_values(self.grid, axis, t), faces, out=faces)
+            if p == 2.0:
+                mob.fill(1.0)
+            else:
+                np.add(mag2, eps_reg * eps_reg, out=mob)
+                _power(mob, (p - 2.0) / 2.0, out=mob)
+        if coeff.kind != "identity":
+            for axis, faces in enumerate(self._mob_faces):
+                np.multiply(coeff.face_values(self.grid, axis, t), faces, out=faces)
         return self._mob_faces
 
     def max_mobility(self) -> float:
         """The largest face mobility of the last mobility() call."""
-        for m, border in zip(self._mob, self._face_border):
-            m[border] = 0.0
-        return max(float(np.maximum.reduce(m)) for m in self._mob)
+        _, _, mob, _ = self._face_arrays
+        mob[self._face_border] = 0.0
+        return float(np.maximum.reduce(mob))
 
     def nodal_magnitude(self) -> np.ndarray:
-        """Nodal |grad u|: per axis the average of the two adjacent face gradients."""
+        """Nodal |grad u| = 2 sqrt(sum over axes of d_a^2), d_a from load().
+
+        That is sqrt(sum of (c_a / 2h_a)^2) for the centred differences c_a,
+        bit for bit: 2 d_a is c_a / 2h_a exactly, and scaling by 2 commutes
+        with the rounding of the squares, their sum and the root (short of
+        underflow and overflow).
+        """
         out = self._nodal
-        for axis, (hi, lo) in enumerate(self._grad_halves):
+        for axis, d in enumerate(self._scaled_nodes):
             part = out if axis == 0 else self._node_work
-            np.add(lo, hi, out=part)
-            np.multiply(part, 0.5, out=part)
-            np.multiply(part, part, out=part)
+            np.multiply(d, d, out=part)
             if axis > 0:
                 np.add(out, part, out=out)
         np.sqrt(out, out=out)
+        np.multiply(out, 2.0, out=out)
         return self._nodal_nodes
 
     def max_nodal_magnitude(self) -> float:
@@ -326,14 +380,16 @@ class FluxKernel:
 
     def divergence(self) -> np.ndarray:
         """Conservative divergence of the face fluxes mobility * normal gradient."""
-        div, work = self._div, self._node_work
-        div.fill(0.0)
+        grad, _, mob, flux = self._face_arrays
+        div = self._div
         with np.errstate(invalid="ignore"):  # 0 * inf on a degenerate face
-            for axis, (flux, (hi, lo)) in enumerate(zip(self._face_work, self._flux_halves)):
-                np.multiply(self._mob[axis], self._grad[axis], out=flux)
-                np.subtract(hi, lo, out=work)
-                np.divide(work, self._spacing[axis], out=work)
-                np.add(div, work, out=div)
+            np.multiply(mob, grad, out=flux)
+            for axis, (hi, lo) in enumerate(self._flux_halves):
+                part = div if axis == 0 else self._node_work
+                np.subtract(hi, lo, out=part)
+                np.divide(part, self._spacing[axis], out=part)
+                if axis > 0:
+                    np.add(div, part, out=div)
         div[self._node_border] = 0.0
         if not np.logical_and.reduce(np.isfinite(div, out=self._finite)):
             raise ValueError(
@@ -344,13 +400,13 @@ class FluxKernel:
 
 
 _ALIGN = 64  # bytes: a cache line, and the widest SIMD register
+_LANES = _ALIGN // 8  # doubles per _ALIGN bytes
 
 
 def _aligned_buffers(sizes: list) -> list:
     """Uninitialized float64 arrays of the given sizes from one slab, each on a 64-byte boundary."""
-    per_line = _ALIGN // 8
-    lines = [-(-n // per_line) * per_line for n in sizes]
-    slab = np.empty(sum(lines) + per_line)
+    lines = [-(-n // _LANES) * _LANES for n in sizes]
+    slab = np.empty(sum(lines) + _LANES)
     start = -slab.ctypes.data % _ALIGN // 8
     buffers = []
     for n, span in zip(sizes, lines):
@@ -398,7 +454,7 @@ def p_flux_divergence(
 
 
 def gradient_magnitude(fld: ScalarField) -> ScalarField:
-    """Nodal |grad u|: per-axis average of the two adjacent face gradients."""
+    """Nodal |grad u|: per axis the centred difference (u(x + h) - u(x - h)) / 2h."""
     return ScalarField(fld.grid, _loaded(fld).nodal_magnitude())
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,8 @@ def test_power_is_its_stated_formula_bitwise(e):
     with np.errstate(all="ignore"):
         if e in (3.0, 4.0):
             want = (x * x) * x if e == 3.0 else (x * x) * (x * x)
+        elif e == 1.5:
+            want = np.sqrt(x) * x
         elif e in POW_FREE:
             want = x ** e
         else:
@@ -427,7 +430,22 @@ def test_power_is_its_stated_formula_bitwise(e):
         assert _power(x, e, out=into) is into
         in_place = x.copy()
         assert _power(in_place, e, out=in_place) is in_place
-    assert POW_FREE == {0.5, 1.0, 2.0, 3.0, 4.0}
+    assert POW_FREE == {0.5, 1.0, 1.5, 2.0, 3.0, 4.0}
     for result in (got, into, in_place):
         assert np.array_equal(_bits(result), _bits(want)), e
     assert np.array_equal(_bits(x), _bits(_power_inputs()))  # x itself is untouched
+
+
+@pytest.mark.parametrize("e", sorted(POW_FREE))
+def test_power_into_another_array_allocates_nothing(e):
+    # the explicit stepper powers the nodal |grad u| into its own work array
+    x = np.abs(_power_inputs())
+    into = np.empty_like(x)
+    tracemalloc.start()
+    try:
+        with np.errstate(all="ignore"):
+            _power(x, e, out=into)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 8

@@ -78,7 +78,7 @@ def _bits(values):
 
 
 EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, -1.0])
-SIGMAS = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, 3.0000000000000013, 14.0 / 3.0]), st.floats(1.0, 8.0))
+SIGMAS = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 3.0000000000000013, 14.0 / 3.0]), st.floats(1.0, 8.0))
 
 
 @st.composite
@@ -97,7 +97,10 @@ def excess_arrays(draw):
 
 
 def stated_powers(x, e):
-    """x ** e by _power's stated formula: the products for e = 3 and 4, x ** e otherwise."""
+    """x ** e by _power's stated formula: sqrt(x) * x for e = 1.5, the products for e = 3 and 4,
+    x ** e otherwise."""
+    if e == 1.5:
+        return np.sqrt(x) * x
     if e == 3.0:
         return (x * x) * x
     if e == 4.0:
@@ -158,7 +161,7 @@ def test_lr_norm_frozen_values():
         lr_norm(np.array([1.0]), 0.5, weight=1.0)
 
 
-@pytest.mark.parametrize("r", [2.0, 3.0, 3.5, 4.0])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 3.5, 4.0])
 def test_lr_norm_sums_the_helpers_powers_bitwise(r):
     # one-entry arrays keep an ulp of the power visible through the root
     rng = np.random.default_rng(5)

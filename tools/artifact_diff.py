@@ -22,8 +22,10 @@ placeholder first, so its paths never count.  For each series.csv that
 differs, every column the two files share and do not agree on is listed
 with its own largest relative deviation |a - b| / max(|a|, |b|) and the row
 where it occurs, worst first, so a shared column left out agrees on every
-row both files have; columns only one file has are named.  Only the
-standard library is used.  Exit status: 0 when everything is identical, 1
+row both files have; columns only one file has are named.  For each snapshot
+CSV that differs, the value column's largest relative deviation is listed
+with the node where it first occurs and the count of values that differ.
+Only the standard library is used.  Exit status: 0 when everything is identical, 1
 when anything differs, 2 on a usage error.
 """
 
@@ -149,26 +151,31 @@ def run_tree(src: Path, out: Path, plan) -> dict:
     return codes
 
 
+def read_csv(path: Path) -> list:
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def relative_deviation(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two written numbers; inf unless both are finite."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
 def series_deviation(old: Path, new: Path) -> str:
     """Every column that differs between two series.csv files, each with its own largest
     relative deviation and where it occurs, worst first."""
-    tables = []
-    for path in (old, new):
-        with open(path, newline="") as handle:
-            tables.append(list(csv.reader(handle)))
-    (head_a, *rows_a), (head_b, *rows_b) = tables
+    (head_a, *rows_a), (head_b, *rows_b) = read_csv(old), read_csv(new)
     shared = [(head_a.index(c), head_b.index(c), c) for c in head_a if c in head_b]
     worst = {}  # column: (largest deviation, its first row)
     for row, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
         for i, j, column in shared:
             if ra[i] == rb[j]:
                 continue
-            a, b = float(ra[i]), float(rb[j])
-            scale = max(abs(a), abs(b))
-            if not (math.isfinite(a) and math.isfinite(b)):
-                dev = math.inf
-            else:
-                dev = abs(a - b) / scale if scale else 0.0
+            dev = relative_deviation(ra[i], rb[j])
             if column not in worst or dev > worst[column][0]:
                 worst[column] = (dev, f"row {row}, {head_a[0]} = {ra[0]}")
     ranked = sorted(worst.items(), key=lambda item: -item[1][0])
@@ -177,6 +184,24 @@ def series_deviation(old: Path, new: Path) -> str:
     return (f"{len(rows_a)} rows -> {len(rows_b)}; {len(worst)} of {len(shared)} shared columns differ"
             + (f" ({listed})" if listed else "")
             + (f"; in one file only: {', '.join(unshared)}" if unshared else ""))
+
+
+def snapshot_deviation(old: Path, new: Path) -> str:
+    """The largest relative deviation of two snapshots' value columns and the first node
+    where it occurs, or that their nodes differ."""
+    (head_a, *rows_a), (head_b, *rows_b) = read_csv(old), read_csv(new)
+    if head_a != head_b or [r[:-1] for r in rows_a] != [r[:-1] for r in rows_b]:
+        return f"the nodes differ ({len(rows_a)} rows -> {len(rows_b)})"
+    dim = (len(head_a) - 1) // 2  # the axis indices, the coordinates, then the value
+    worst, node, differing = -1.0, None, 0
+    for ra, rb in zip(rows_a, rows_b):
+        if ra[-1] != rb[-1]:
+            differing += 1
+            dev = relative_deviation(ra[-1], rb[-1])
+            if dev > worst:
+                worst, node = dev, ra[:dim]
+    where = f"({', '.join(head_a[:dim])}) = ({', '.join(node)})"
+    return f"{differing} of {len(rows_a)} values differ; value {worst:.3e} at node {where}"
 
 
 def files(root: Path) -> set:
@@ -209,6 +234,8 @@ def main(argv=None) -> int:
                 differ.append(f"differs: {rel}")
                 if rel.name == "series.csv":
                     differ[-1] += f": {series_deviation(outs['old'] / rel, outs['new'] / rel)}"
+                elif rel.name.startswith("snapshot_") and rel.suffix == ".csv":
+                    differ[-1] += f": {snapshot_deviation(outs['old'] / rel, outs['new'] / rel)}"
         for line in differ:
             print(line)
         print(f"{len(old_files | new_files)} files compared, {len(differ)} differences")

@@ -597,9 +597,13 @@ def step_imex(
     When the stepper holds the previous accepted step (u_{n-1}, dt_prev), the
     first iterate is u_n + (dt/dt_prev)(u_n - u_{n-1}); the source and the
     right-hand side still use u_n.  Without a stepper the step builds a fresh
-    one, so it starts from u_n and its first sweep always factors.  Raises
-    NonConvergenceError on a non-finite diffusivity or solution, a failed
-    factorization, or after IMEX_MAX_ITER sweeps.
+    one, so it starts from u_n and its first sweep always factors.  Every
+    iterate, the first, each solved one and each damped one, is loaded once,
+    its mobility taken at t + dt and its flux divergence formed.  A
+    non-finite value anywhere (in the iterate, a real face's mobility or a
+    flux) makes that divergence non-finite, and that, a failed
+    factorization, or IMEX_MAX_ITER sweeps without convergence raise
+    NonConvergenceError.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -609,49 +613,45 @@ def step_imex(
     if stepper is None:
         stepper = _ImexStepper(grid, params, coeff, eps_reg, dt)
     kernel = stepper.kernel
-    kernel.load(fld.values)
     b = fld.values.copy()
     if params.gamma > 0.0:
+        kernel.load(fld.values)
         b = b + dt * params.gamma * _power(kernel.nodal_magnitude(), params.q)
     tol = IMEX_RTOL * (1.0 + lr_norm(fld.values, 2.0, grid.quad_weight))
     # the CG residual is Euclidean; lr_norm weighs each node by quad_weight
     cg_scale = IMEX_CG_FORCING / math.sqrt(grid.quad_weight)
     flat_b = b.ravel()
 
+    def evaluate(x: np.ndarray) -> tuple:
+        """(face mobility, residual) of iterate x; NonConvergenceError on a non-finite flux divergence."""
+        kernel.load(x)
+        dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
+        try:
+            return dfaces, lr_norm(x - dt * kernel.divergence() - b, 2.0, grid.quad_weight)
+        except ValueError as exc:
+            raise NonConvergenceError(f"implicit solve produced non-finite values ({exc})") from None
+
     cur = fld.values
     if stepper.previous is not None:
         u_prev, dt_prev = stepper.previous
         cur = cur + (dt / dt_prev) * (cur - u_prev)
-        kernel.load(cur)
-    dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
-    prev_res = float("inf")
-    for sweep in range(IMEX_MAX_ITER):
-        if not all(np.all(np.isfinite(d)) for d in dfaces):
-            raise NonConvergenceError(
-                "implicit solve produced non-finite values (non-finite face diffusivity)"
-            )
-        if sweep == 0:  # a later sweep starts from the iterate whose residual ended the last one
-            res = lr_norm(cur - dt * kernel.divergence() - b, 2.0, grid.quad_weight)
+    dfaces, res = evaluate(cur)
+    prev_res = math.inf
+    for _ in range(IMEX_MAX_ITER):
         stencil = _ImplicitStencil.assemble(grid, dfaces, dt)
         factor = stepper.factor
         x = None if factor is None else _pcg_sweep(stencil, factor, flat_b, cur.ravel(), cg_scale * res)
         if x is None:
             stepper.factor = stencil.factor()
             x = _cho_solve(stepper.factor, flat_b)
-        if not np.all(np.isfinite(x)):
-            raise NonConvergenceError("implicit solve produced non-finite values")
         x = x.reshape(grid.shape)
-        kernel.load(x)
-        dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
-        residual = x - dt * kernel.divergence() - b
-        res = lr_norm(residual, 2.0, grid.quad_weight)
+        dfaces, res = evaluate(x)
         if res < tol:
             _check_overflow(x, t_new)
             return ScalarField(grid, x)
         if res >= prev_res:
-            x = 0.5 * (x + cur)  # damp when the fixed point overshoots
-            kernel.load(x)
-            dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
+            x = 0.5 * (x + cur)  # damp when the fixed point overshoots; res stays the undamped one's
+            dfaces, _ = evaluate(x)
         cur = x
         prev_res = res
     raise NonConvergenceError(
@@ -796,8 +796,7 @@ def run(scenario: Scenario) -> RunResult:
                         stopped_early = True
                         break
             if stopped_early:
-                if t > times[-1]:
-                    record(t, u)
+                record(t, u)
                 break
             record(target, u)
             if target in snap_set:

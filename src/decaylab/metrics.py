@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field import POW_FREE, _power
+from .field import _power
 from .fileio import atomic_write_text
 
 
@@ -60,26 +60,9 @@ def truncate_excess(z, k: float):
     return np.subtract(z, excess, out=excess)
 
 
-def _powers(ex: np.ndarray, sigma: float) -> np.ndarray:
-    """_power(ex, sigma), a new array, for ex >= 0 and sigma > 0, bit for bit.
-
-    For a sigma in POW_FREE that is the sqrt or the products, which have no
-    slow path.  For any other sigma numpy's SIMD pow takes a slow path for
-    every lane that is 0, which makes it several times slower on a
-    mostly-zero excess; those lanes are raised as 1 and then set back to 0
-    (= 0 ** sigma), so the powers are exactly np.power's.
-    """
-    if sigma in POW_FREE:
-        return _power(ex, sigma)
-    zero = np.equal(ex, 0.0, out=np.empty_like(ex))  # 1.0 on the zero lanes
-    powers = np.add(ex, zero)
-    _power(powers, sigma, out=powers)
-    return np.subtract(powers, zero, out=powers)
-
-
 def _power_sum(ex: np.ndarray, sigma: float) -> float:
-    """The sum of _powers(ex, sigma): np.sum(_power(ex, sigma)) bit for bit."""
-    return float(np.add.reduce(_powers(ex, sigma), axis=None))
+    """The sum of _power(ex, sigma), taken in a new array, so ex is left as it is."""
+    return float(np.add.reduce(_power(ex, sigma), axis=None))
 
 
 # ---------------------------------------------------------------------------

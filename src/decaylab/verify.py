@@ -39,8 +39,17 @@ def _window(owner: str, window) -> tuple:
     return (lo, hi)
 
 
-def _optional_float(value) -> Optional[float]:
-    return None if value is None else float(value)
+def _floats(target, owner: str, required: tuple, optional: tuple = ()) -> None:
+    """Set each named field of a frozen target to its float (an optional None stays None);
+    a ValueError naming the target and the field when that fails."""
+    for key in required + optional:
+        value = getattr(target, key)
+        if value is None and key in optional:
+            continue
+        try:
+            object.__setattr__(target, key, float(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"{owner}: {key} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -64,10 +73,7 @@ class FitTarget:
         if self.kind not in FIT_KINDS:
             raise ValueError(f"{owner}: unknown kind {self.kind!r} (have: {', '.join(FIT_KINDS)})")
         object.__setattr__(self, "window", _window(owner, self.window))
-        for key in ("expected", "min_slope", "max_slope"):
-            object.__setattr__(self, key, _optional_float(getattr(self, key)))
-        object.__setattr__(self, "rtol", float(self.rtol))
-        object.__setattr__(self, "floor", float(self.floor))
+        _floats(self, owner, ("rtol", "floor"), ("expected", "min_slope", "max_slope"))
 
 
 @dataclass(frozen=True)
@@ -86,14 +92,11 @@ class EnvelopeTarget:
 
     def __post_init__(self):
         owner = f"envelope target {self.name!r}"
-        for key in ("m", "slack", "atol"):
-            object.__setattr__(self, key, float(getattr(self, key)))
+        _floats(self, owner, ("m", "slack", "atol"), ("rate", "y0"))
         if not self.m > 0.0:
             raise ValueError(f"{owner}: exponent m must be > 0, got {self.m}")
         if not self.slack > 0.0:
             raise ValueError(f"{owner}: slack must be > 0, got {self.slack}")
-        object.__setattr__(self, "rate", _optional_float(self.rate))
-        object.__setattr__(self, "y0", _optional_float(self.y0))
         if self.window is not None:
             object.__setattr__(self, "window", _window(owner, self.window))
 

@@ -411,6 +411,28 @@ def test_sweep_step_size_collapse_is_reported(tmp_path, capsys):
     assert all("step size collapsed" in s["error"] for s in summary)
 
 
+def test_imex_non_finite_iterate_is_a_failed_step(tmp_path, capsys):
+    # p < 2 and eps_reg = 0 on a symmetric 2-node datum: a solved iterate has
+    # a zero-gradient face, so its flux divergence is not finite; that is a
+    # failed step, which halves dt, not a usage error
+    dt = 0.127685650075655
+    cfg = write_cfg(tmp_path, f"""
+p = 1.8774625664026732
+q = 1.0
+dim_n = 3
+grid_n = 2
+initial_kind = "eigenfunction"
+initial_amplitude = 0.010370409686981137
+eps_reg = 0.0
+stepper = "imex"
+dt_init = {dt!r}
+sample_start = {dt!r}
+sample_ratio = 2.0
+t_end = {3.0 * dt!r}
+""")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_BLOWUP)
+
+
 def test_simulate_negative_eps_reg_exits_usage(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG + "eps_reg = -1e-3\n")
     out = tmp_path / "out"

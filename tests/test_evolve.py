@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, cg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decaylab import evolve
@@ -705,6 +705,38 @@ def test_step_imex_maximum_principle_property(p, shape, kind, seed, dt):
     slack = _imex_tol(u0)
     assert float(new.values.max()) <= float(u0.values.max()) + slack
     assert float(new.values.min()) >= -slack
+
+
+@settings(max_examples=150)
+@given(
+    shape=st.one_of(st.tuples(st.integers(1, 12)), st.tuples(st.integers(1, 12), st.integers(1, 12))),
+    p=st.floats(1.1, 40.0, exclude_min=True, exclude_max=True),
+    eps_reg=st.sampled_from([0.0, 1e-8, 1e-4]),
+    dt=st.floats(1e-6, 10.0),
+    gamma=st.sampled_from([0.0, 1.0]),
+    kind=st.sampled_from(["eigenfunction", "bump", "random_positive"]),
+    amplitude=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e12)),
+    seed=st.integers(0, 2**16),
+)
+# a solved iterate with a zero-gradient face, p < 2 and eps_reg = 0 (the
+# first step of a 2-node eigenfunction run)
+@example(shape=(2,), p=1.8774625664026732, eps_reg=0.0, dt=0.127685650075655, gamma=0.0,
+         kind="eigenfunction", amplitude=0.010370409686981137, seed=0)
+# finite mobilities whose fluxes overflow (p near 26, |u| near 1e11)
+@example(shape=(12, 5), p=26.891491371404395, eps_reg=1e-8, dt=0.00451163540782406, gamma=1.0,
+         kind="eigenfunction", amplitude=262700522590.15576, seed=0)
+@example(shape=(7, 11), p=25.852579952439644, eps_reg=0.0, dt=0.12764186355386126, gamma=0.0,
+         kind="random_positive", amplitude=448834954262.2181, seed=16322)
+def test_step_imex_fails_only_as_a_stepping_failure(shape, p, eps_reg, dt, gamma, kind, amplitude, seed):
+    # a non-finite value in any sweep is a failed step, never a ValueError
+    grid = Grid(shape, (1.0,) * len(shape))
+    u0 = make_initial(InitialSpec(kind=kind, amplitude=amplitude), grid, seed=seed)
+    params = ProblemParams(p=p, q=1.0, dim_n=3, gamma=gamma)
+    try:
+        with np.errstate(all="ignore"):
+            step_imex(u0, dt, params, eps_reg=eps_reg)
+    except (NonConvergenceError, OverflowDetected):
+        pass
 
 
 COEFFICIENT_BOUNDS = {"identity": (1.0, 1.0), "scalar": (1.0, 1.5), "diagonal": (0.75, 2.5)}

@@ -108,6 +108,10 @@ ENV = {"name": "e", "label": "l2", "m": 1.0}
         ([], [ENV, {"name": "g", "label": "l2"}], "envelope target 'g'.*'m'"),
         ([], [{**ENV, "atol": 0.0, "tol": 1.0}], "envelope target 'e'.*tol"),
         ([], ["l2"], "envelope target '#0'"),
+        # a value that is no number names its target and its field
+        ([{**FIT, "rtol": None}], [], "fit target 'f': rtol must be a number, got None"),
+        ([{**FIT, "expected": "abc"}], [], "fit target 'f': expected must be a number, got 'abc'"),
+        ([], [{**ENV, "m": "x"}], "envelope target 'e': m must be a number, got 'x'"),
     ],
 )
 def test_bad_targets_are_rejected_by_name(fits, envelopes, match):

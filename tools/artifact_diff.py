@@ -14,7 +14,11 @@ thread, every config below from this repository:
 - EVERY_KEY, a short 2D run that sets every config key, most numbers written
   as integers, with `simulate` and with `sweep --jobs 1`;
 - the explicit2d config with its numbers written as JSON strings and a
-  shorter t_end.
+  shorter t_end;
+- the imex2d config at p = 3.5, q = 1.2 on a 24 x 24 grid up to t = 0.05,
+  with gamma = 1 (which damps 139 sweeps in 193 steps) and with gamma = 0
+  (which damps 36 and halves dt twice): the damping and halving paths that
+  imex2d itself never takes.
 
 Every file the two trees write is compared byte for byte, and so is each
 command's exit code.  In sweep_summary.json the output root is replaced by a
@@ -46,6 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads"
 CLI = "import sys; from decaylab.cli import main; sys.exit(main())"
 SINUSOIDAL = {"coefficient": '"sinusoidal"', "alpha": "0.5", "lambda_upper": "1.5"}
+DAMPED_IMEX = {"p": "3.5", "q": "1.2", "grid_n": "[24, 24]", "t_end": "0.05"}
 STRING_NUMBERS = {"p": '"1.9"', "q": '"1.5"', "gamma": '"0.1"', "alpha": '"1"', "lambda_upper": '"1.0"',
                   "sobolev_const": '"2"', "initial_amplitude": '"0.8"', "initial_cap": '"1e6"',
                   "t_end": '"0.001"', "dt_init": '"1e-4"', "sample_ratio": '"1.05"', "stop_linf_atol": '"0"'}
@@ -121,6 +126,8 @@ def runs(seeds) -> list:
         ("every_key", EVERY_KEY, ["simulate"]),
         ("every_key_sweep", EVERY_KEY, ["sweep", "--jobs", "1"]),
         ("string_numbers", with_keys(explicit, STRING_NUMBERS), ["simulate"]),
+        ("damped_imex_source", with_keys(imex, {**DAMPED_IMEX, "gamma": "1"}), ["simulate"]),
+        ("damped_imex_halving", with_keys(imex, {**DAMPED_IMEX, "gamma": "0"}), ["simulate"]),
     ]
 
 

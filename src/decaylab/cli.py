@@ -38,7 +38,7 @@ from .evolve import (
     run,
 )
 from .field import Grid, write_field_csv
-from .fileio import atomic_write_text
+from .fileio import _typed, atomic_write_text
 from .metrics import NormSeries
 from .regime import (
     ProblemParams,
@@ -81,16 +81,11 @@ def _defaults(keyed: dict) -> dict:
 
 
 def _values(cfg: dict, keyed: dict) -> dict:
-    """The config's values of the keyed fields, by field name; a float field's value as a float.
+    """The config's values of the keyed fields, by field name, each read as its field's annotation.
 
-    null passes through only to an Optional[float] field; in a float field it is an error naming the key.
+    null passes through only to an Optional field; a value of the wrong type is an error naming the key.
     """
-    values = {}
-    for key, f in keyed.items():
-        value = cfg[key]
-        convert = f.type == "float" or (value is not None and f.type in _FLOAT_TYPES)
-        values[f.name] = _config_float(value, key) if convert else value
-    return values
+    return {f.name: _typed(cfg[key], f.type, f"config key {key!r}") for key, f in keyed.items()}
 
 
 _PARAM_KEYS = _config_fields(ProblemParams, skip=("measure",))  # measure is the grid's volume
@@ -156,27 +151,11 @@ def load_config(path) -> dict:
     return {**cfg, **{key: _config_list(cfg, key) for key in lists}}
 
 
-def _config_int(value, key: str) -> int:
-    """A config integer: a JSON number with a finite integral value (3 or 3.0)."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-_FLOAT_TYPES = ("float", "Optional[float]")  # the annotations of the float dataclass fields
-
-
-def _config_float(value, key: str) -> float:
-    """float(value), as the dataclasses convert it; a value it rejects is an error naming the key."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}") from None
-
-
-_NUMBER_LISTS = ("snapshot_times", "k_levels", "r_list", "initial_center", "sweep_p", "sweep_q", "sweep_gamma")
+# the list keys whose entries are numbers: the tuple fields, then the sweep axes
+_NUMBER_LISTS = (
+    *(key for key, f in {**_INITIAL_KEYS, **_SCENARIO_KEYS}.items() if "tuple" in f.type),
+    "sweep_p", "sweep_q", "sweep_gamma",
+)
 
 
 def _config_list(cfg: dict, key: str):
@@ -188,7 +167,7 @@ def _config_list(cfg: dict, key: str):
         raise ValueError(f"config key {key!r} must be a list, got {value!r}")
     if key in _NUMBER_LISTS:
         for entry in value:
-            _config_float(entry, key)
+            _typed(entry, "float", f"config key {key!r}")
     return value
 
 
@@ -198,17 +177,14 @@ def build_scenario(cfg: dict, seed_override=None) -> Scenario:
         if cfg.get(key) is None:
             raise ValueError(f"config is missing required key {key!r}")
     n = cfg["grid_n"]
-    shape = tuple(_config_int(x, "grid_n") for x in (n if isinstance(n, list) else [n]))
+    shape = tuple(_typed(x, "int", "config key 'grid_n'") for x in (n if isinstance(n, list) else [n]))
     lengths = cfg["domain_lengths"]
     if not isinstance(lengths, list):
         lengths = [lengths] * len(shape)
-    grid = Grid(shape, tuple(_config_float(l, "domain_lengths") for l in lengths))
-    params = ProblemParams(
-        **{**_values(cfg, _PARAM_KEYS), "dim_n": _config_int(cfg["dim_n"], "dim_n")},
-        measure=float(np.prod(grid.lengths)),
-    )
+    grid = Grid(shape, tuple(_typed(l, "float", "config key 'domain_lengths'") for l in lengths))
+    params = ProblemParams(**_values(cfg, _PARAM_KEYS), measure=float(np.prod(grid.lengths)))
     initial = InitialSpec(**_values(cfg, _INITIAL_KEYS))
-    seed = int(seed_override) if seed_override is not None else _config_int(cfg["seed"], "seed")
+    cfg = cfg if seed_override is None else {**cfg, "seed": seed_override}
 
     kind = cfg["coefficient"]
     if kind == "identity":
@@ -230,7 +206,7 @@ def build_scenario(cfg: dict, seed_override=None) -> Scenario:
         grid=grid,
         initial=initial,
         coefficient=coefficient,
-        **{**_values(cfg, _SCENARIO_KEYS), "seed": seed},
+        **_values(cfg, _SCENARIO_KEYS),
     )
 
 
@@ -265,7 +241,8 @@ def _print_payload(payload: dict, as_json: bool) -> None:
 
 
 def _resolve_out_dir(flag_value, cfg) -> Path:
-    return Path(flag_value or cfg.get("out_dir") or os.environ.get("DECAYLAB_OUT") or "decaylab_out")
+    out_dir = _typed(cfg["out_dir"], "Optional[str]", "config key 'out_dir'")
+    return Path(flag_value or out_dir or os.environ.get("DECAYLAB_OUT") or "decaylab_out")
 
 
 def simulate_to_dir(cfg: dict, out_dir: Path, seed_override=None) -> tuple:
@@ -416,7 +393,8 @@ def cmd_sweep(args) -> int:
     axes = [cfg[f"sweep_{key}"] or [cfg[key]] for key in ("p", "q", "gamma")]
     tasks, cells = [], {}
     for p, q, gamma in product(*axes):
-        name = "p{:g}_q{:g}_gamma{:g}".format(*map(_config_float, (p, q, gamma), ("p", "q", "gamma")))
+        numbers = [_typed(v, "float", f"config key {k!r}") for k, v in (("p", p), ("q", q), ("gamma", gamma))]
+        name = "p{:g}_q{:g}_gamma{:g}".format(*numbers)
         cell = f"(p={p!r}, q={q!r}, gamma={gamma!r})"
         if name in cells:
             raise ValueError(f"sweep cells {cells[name]} and {cell} share the directory {name!r}")

@@ -44,6 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .field import CoefficientField, FluxKernel, Grid, ScalarField, _aligned_buffers, _power, read_field_csv
+from .fileio import _float_fields, _typed
 from .metrics import NormSeries, _power_sum, lr_norm, truncate_excess
 from .regime import ProblemParams, classify
 
@@ -115,13 +116,9 @@ class InitialSpec:
     path: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "cap", float(self.cap))
-        for name in ("decay_exponent", "nu", "nu_prime", "radius"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
+        _float_fields(self)
         if self.center is not None:
-            object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+            object.__setattr__(self, "center", tuple(_typed(c, "float", "center") for c in self.center))
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial kind {self.kind!r}; have {INITIAL_KINDS}")
         if not 0.0 <= self.amplitude < math.inf:
@@ -212,11 +209,7 @@ class Scenario:
     stop_linf_atol: float = 0.0
 
     def __post_init__(self):
-        for name in ("t_end", "dt_init", "sample_ratio", "stop_linf_atol"):
-            setattr(self, name, float(getattr(self, name)))
-        for name in ("eps_reg", "sigma", "sample_start"):
-            if getattr(self, name) is not None:
-                setattr(self, name, float(getattr(self, name)))
+        _float_fields(self)
         # every test is written so that NaN fails it; math.inf in r_list is the sup norm
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
@@ -228,13 +221,13 @@ class Scenario:
             raise ValueError(f"sample_start must be finite and > 0, got {self.sample_start}")
         if not 1.0 < self.sample_ratio < math.inf:
             raise ValueError(f"sample_ratio must be finite and > 1, got {self.sample_ratio}")
-        self.snapshot_times = tuple(sorted(set(float(s) for s in self.snapshot_times)))
+        self.snapshot_times = tuple(sorted({_typed(s, "float", "snapshot_times") for s in self.snapshot_times}))
         if not all(0.0 <= s <= self.t_end for s in self.snapshot_times):
             raise ValueError(f"snapshot_times must lie in [0, t_end], got {self.snapshot_times}")
-        self.k_levels = tuple(sorted(set(float(k) for k in self.k_levels)))
+        self.k_levels = tuple(sorted({_typed(k, "float", "k_levels") for k in self.k_levels}))
         if not all(0.0 <= k < math.inf for k in self.k_levels):
             raise ValueError(f"k_levels must be finite and >= 0, got {self.k_levels}")
-        self.r_list = tuple(sorted(set(float(r) for r in self.r_list)))
+        self.r_list = tuple(sorted({_typed(r, "float", "r_list") for r in self.r_list}))
         if not all(1.0 <= r <= math.inf for r in self.r_list):
             raise ValueError(f"r_list orders must be >= 1 (inf for the sup norm), got {self.r_list}")
         if not 0.0 <= self.stop_linf_atol < math.inf:
@@ -260,14 +253,14 @@ class Scenario:
     @property
     def eps_resolved(self) -> float:
         if self.eps_reg is not None:
-            return float(self.eps_reg)
+            return self.eps_reg
         return DEFAULT_EPS_DEGENERATE if self.params.p >= 2.0 else DEFAULT_EPS_SINGULAR
 
     @property
     def sigma_resolved(self) -> float:
         """Summability exponent used for truncation-norm columns."""
         if self.sigma is not None:
-            return float(self.sigma)
+            return self.sigma
         sigma = classify(self.params).data_sigma
         return 2.0 if sigma is None else float(sigma)
 

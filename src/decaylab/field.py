@@ -393,8 +393,8 @@ class FluxKernel:
         div[self._node_border] = 0.0
         if not np.logical_and.reduce(np.isfinite(div, out=self._finite)):
             raise ValueError(
-                "non-finite flux divergence: degenerate zero-gradient face with "
-                "eps_reg = 0 and p < 2; pass eps_reg > 0"
+                "non-finite flux divergence: a degenerate zero-gradient face with "
+                "eps_reg = 0 and p < 2 (pass eps_reg > 0), or a face flux that overflows"
             )
         return self._div_nodes
 
@@ -442,9 +442,10 @@ def p_flux_divergence(
 ) -> ScalarField:
     """Conservative divergence of A(t,x) (eps^2 + |grad u|^2)^((p-2)/2) grad u.
 
-    For p < 2 a zero-gradient face with eps_reg = 0 is degenerate (infinite
-    mobility); the resulting non-finite flux is rejected with an error asking
-    for eps_reg > 0.
+    A non-finite flux is rejected with a ValueError that names its two causes:
+    for p < 2 a zero-gradient face with eps_reg = 0 is degenerate (infinite
+    mobility), which eps_reg > 0 mends, and for large p and |grad u| a finite
+    mobility times the gradient can overflow.
     """
     if eps_reg < 0.0:
         raise ValueError("eps_reg must be >= 0")

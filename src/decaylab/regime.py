@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
+from .fileio import _float_fields
+
 # comparisons against regime boundaries snap within this tolerance
 BOUNDARY_TOL = 1e-12
 
@@ -59,8 +61,7 @@ class ProblemParams:
     measure: float = 1.0
 
     def __post_init__(self):
-        for name in ("p", "q", "gamma", "alpha", "lambda_upper", "sobolev_const", "measure"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _float_fields(self)
         # every test is written so that NaN fails it
         if not 1.0 < self.p < math.inf:
             raise ValueError(f"p must be finite and > 1, got {self.p}")

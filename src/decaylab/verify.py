@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fileio import _float_fields, _typed
 from .metrics import (
     DegenerateWindowError,
     InsufficientDataError,
@@ -39,19 +40,6 @@ def _window(owner: str, window) -> tuple:
     return (lo, hi)
 
 
-def _floats(target, owner: str, required: tuple, optional: tuple = ()) -> None:
-    """Set each named field of a frozen target to its float (an optional None stays None);
-    a ValueError naming the target and the field when that fails."""
-    for key in required + optional:
-        value = getattr(target, key)
-        if value is None and key in optional:
-            continue
-        try:
-            object.__setattr__(target, key, float(value))
-        except (TypeError, ValueError):
-            raise ValueError(f"{owner}: {key} must be a number, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class FitTarget:
     """Decay fit of one column in a window: the slope of log v against log t
@@ -73,7 +61,7 @@ class FitTarget:
         if self.kind not in FIT_KINDS:
             raise ValueError(f"{owner}: unknown kind {self.kind!r} (have: {', '.join(FIT_KINDS)})")
         object.__setattr__(self, "window", _window(owner, self.window))
-        _floats(self, owner, ("rtol", "floor"), ("expected", "min_slope", "max_slope"))
+        _float_fields(self, f"{owner}: ")
 
 
 @dataclass(frozen=True)
@@ -92,7 +80,7 @@ class EnvelopeTarget:
 
     def __post_init__(self):
         owner = f"envelope target {self.name!r}"
-        _floats(self, owner, ("m", "slack", "atol"), ("rate", "y0"))
+        _float_fields(self, f"{owner}: ")
         if not self.m > 0.0:
             raise ValueError(f"{owner}: exponent m must be > 0, got {self.m}")
         if not self.slack > 0.0:
@@ -125,9 +113,10 @@ class VerificationSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "VerificationSpec":
         """The checks named by the verify_* and *_targets config keys."""
+        flag = lambda key: _typed(cfg[key], "bool", f"config key {key!r}")
         return cls(
-            linf_contraction=bool(cfg["verify_linf_contraction"]),
-            gk_contraction=bool(cfg["verify_gk_contraction"]),
+            linf_contraction=flag("verify_linf_contraction"),
+            gk_contraction=flag("verify_gk_contraction"),
             fits=_targets(FitTarget, "fit", cfg["fit_targets"]),
             envelopes=_targets(EnvelopeTarget, "envelope", cfg["envelope_targets"]),
         )

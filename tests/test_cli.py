@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +13,17 @@ from decaylab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    load_config,
     main,
     parse_config_text,
     serialize_config,
 )
+from decaylab.evolve import InitialSpec, Scenario
 from decaylab.field import Grid, ScalarField, write_field_csv
 from decaylab.regime import ProblemParams
+from decaylab.verify import EnvelopeTarget, FitTarget
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CFG = """
 p = 2.0
@@ -38,6 +45,16 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# each config key that is a dataclass field, with the field's annotation
+FIELD_TYPES = {
+    **{f.name: f.type for f in dataclasses.fields(ProblemParams)},
+    **{f"initial_{f.name}": f.type for f in dataclasses.fields(InitialSpec)},
+    **{f.name: f.type for f in dataclasses.fields(Scenario)},
+}
+FLOAT_KEYS = [key for key in CONFIG_DEFAULTS if FIELD_TYPES.get(key) in ("float", "Optional[float]")]
+INT_KEYS = [key for key in CONFIG_DEFAULTS if FIELD_TYPES.get(key) == "int"]
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +88,23 @@ def test_config_defaults_cover_every_key():
     cfg.update(parse_config_text(BASE_CFG))
     assert cfg["dt_init"] == 1e-4
     assert cfg["sweep_p"] is None
+
+
+def test_readme_documents_every_key_and_every_list_key(tmp_path):
+    text = README.read_text()
+    section = text[text.index("### Config files"):text.index("### Output artifacts")]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert {key for row in rows for key in re.findall(r"`(\w+)`", row)} == set(CONFIG_DEFAULTS)
+    # the keys load_config rejects when they hold a string where a list belongs
+    lists = set()
+    for key in CONFIG_DEFAULTS:
+        try:
+            load_config(write_cfg(tmp_path, f'{key} = "12"\n'))
+        except ValueError as exc:
+            assert str(exc) == f"config key {key!r} must be a list, got '12'"
+            lists.add(key)
+    sentence = re.search(r"A list key\s+\((.*?)\)", section, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", sentence)) == lists
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +591,7 @@ def test_simulate_non_finite_initial_field_exits_before_stepping(tmp_path, capsy
     ("dim_n", "NaN"),
     ("dim_n", "3.5"),  # ran as N = 3
     ("seed", "Infinity"),
+    *((key, '"abc"') for key in INT_KEYS),
 ])
 def test_simulate_integer_key_must_be_a_finite_integer(tmp_path, capsys, key, value):
     lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
@@ -592,7 +627,7 @@ def test_string_in_a_list_key_exits_usage(tmp_path, capsys, command, key, value)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value, bad", [
+NON_NUMBER_ROWS = [
     ("p", '"abc"', "abc"),  # printed only "could not convert string to float: 'abc'"
     ("t_end", '"abc"', "abc"),
     ("domain_lengths", '"abc"', "abc"),
@@ -609,6 +644,11 @@ def test_string_in_a_list_key_exits_usage(tmp_path, capsys, command, key, value)
     ("initial_amplitude", "null", None),
     ("stop_linf_atol", "null", None),
     ("initial_cap", "null", None),
+]
+
+
+@pytest.mark.parametrize("key, value, bad", NON_NUMBER_ROWS + [
+    (key, '"abc"', "abc") for key in FLOAT_KEYS if (key, '"abc"', "abc") not in NON_NUMBER_ROWS
 ])
 def test_non_numeric_float_key_exits_usage_naming_the_key(tmp_path, capsys, key, value, bad):
     lines = [line for line in BASE_CFG.splitlines() if not line.startswith(f"{key} =")]
@@ -617,6 +657,47 @@ def test_non_numeric_float_key_exits_usage_naming_the_key(tmp_path, capsys, key,
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert f"config key {key!r} must be a number, got {bad!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("keys, message", [
+    # bool("false") turned the check on
+    ({"verify_linf_contraction": '"false"'},
+     "config key 'verify_linf_contraction' must be true or false, got 'false'"),
+    # opened file descriptor 0, so the run read stdin as its snapshot
+    ({"initial_kind": '"file"', "initial_path": "0"}, "config key 'initial_path' must be a string, got 0"),
+    # "expected str, bytes or os.PathLike object, not int", naming no key
+    ({"out_dir": "5"}, "config key 'out_dir' must be a string, got 5"),
+], ids=["verify_linf_contraction", "initial_path", "out_dir"])
+def test_mistyped_key_exits_usage_naming_the_key(tmp_path, capsys, keys, message):
+    lines = [line for line in BASE_CFG.splitlines() if line.split(" =")[0] not in keys]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# valid arguments of each dataclass whose float fields come from outside
+VALID_ARGS = {
+    ProblemParams: {"p": 2.0, "q": 1.0, "dim_n": 3},
+    InitialSpec: {},
+    Scenario: {"params": ProblemParams(p=2.0, q=1.0, dim_n=3), "grid": Grid((4,), (1.0,)),
+               "initial": InitialSpec(), "t_end": 1.0},
+    FitTarget: {"name": "f", "label": "linf", "kind": "power", "window": [0.0, 1.0]},
+    EnvelopeTarget: {"name": "e", "label": "l2", "m": 1.0},
+}
+OWNERS = {FitTarget: "fit target 'f': ", EnvelopeTarget: "envelope target 'e': "}
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in VALID_ARGS for f in dataclasses.fields(cls) if f.type in ("float", "Optional[float]")
+])
+def test_non_numeric_float_field_names_the_field(cls, name):
+    # ProblemParams(p="abc") said only "could not convert string to float: 'abc'"
+    message = f"{OWNERS.get(cls, '')}{name} must be a number, got 'abc'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(**{**VALID_ARGS[cls], name: "abc"})
 
 
 @pytest.mark.parametrize("length", ["10", "1.5"])  # ran on lengths (1.0, 0.0); could not convert '.'

@@ -458,6 +458,15 @@ def test_degenerate_mobility_error_paths():
         face_diffusivities(fld, 1.5, -1e-3)
 
 
+def test_overflowing_flux_is_named_as_the_cause():
+    # eps_reg > 0 and a finite mobility, but |grad u|^(p - 1) is past the largest double
+    grid = Grid((12, 5), (1.0, 1.0))
+    fld = evolve.make_initial(InitialSpec(kind="eigenfunction", amplitude=2.6e11), grid)
+    assert all(np.all(np.isfinite(d)) for d in face_diffusivities(fld, 26.9, 1e-8))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="a face flux that overflows"):
+        p_flux_divergence(fld, CoefficientField(), 26.9, 1e-8)
+
+
 def test_overflow_check_catches_non_finite_states():
     grid = Grid((3,), (1.0,))
     params = ProblemParams(p=2.0, q=1.0, dim_n=3)

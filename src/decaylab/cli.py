@@ -37,7 +37,7 @@ from .evolve import (
     Scenario,
     run,
 )
-from .field import Grid, write_field_csv
+from .field import Grid, _snapshot_file, write_field_csv
 from .fileio import _typed, atomic_write_text
 from .metrics import NormSeries
 from .regime import (
@@ -257,7 +257,7 @@ def simulate_to_dir(cfg: dict, out_dir: Path, seed_override=None) -> tuple:
     series_path = out_dir / "series.csv"
     result.series.write_csv(series_path)
     for ts, snap in result.snapshots:
-        write_field_csv(snap, out_dir / f"snapshot_t{ts:g}.csv")
+        write_field_csv(snap, out_dir / _snapshot_file(ts))
 
     effective_cfg = {**cfg, "seed": scenario.seed}
     atomic_write_text(out_dir / "config.txt", serialize_config(effective_cfg))

@@ -18,10 +18,10 @@ accepted step, u_n + (dt/dt_prev)(u_n - u_{n-1}), which _ImexStepper also
 holds.  Each stepper's advance(u, t, dt_max) returns the new state and the dt
 it took; run() passes the time left to the next sample and lands on it
 exactly when the step took all of that time.
-run() records one list per Scenario.columns label at geometrically spaced
-sample times, stops on overflow (sup norm past 1e12) or on an optional
-extinction floor, and returns in RunResult.metadata the `run` block of
-metadata.json, less the RunResult fields and the sample count.
+run() records each sample's row of Scenario.columns, and the state at each
+snapshot time, an early stop's included; it stops on overflow (sup past 1e12)
+or on an optional extinction floor, and returns in RunResult.metadata the
+`run` block of metadata.json, less the RunResult fields and sample count.
 
 The IMEX solver calls LAPACK's dpbtrf and dpbtrs directly.  It takes them
 from scipy's f2py wrapper extension, scipy.linalg._flapack, which _flapack()
@@ -43,8 +43,10 @@ from typing import Optional
 
 import numpy as np
 
-from .field import CoefficientField, FluxKernel, Grid, ScalarField, _aligned_buffers, _power, read_field_csv
-from .fileio import _float_fields, _typed
+from .field import (
+    CoefficientField, FluxKernel, Grid, ScalarField, _aligned_buffers, _power, _snapshot_file, read_field_csv
+)
+from .fileio import _number_fields, _typed
 from .metrics import NormSeries, _power_sum, lr_norm, truncate_excess
 from .regime import ProblemParams, classify
 
@@ -116,7 +118,7 @@ class InitialSpec:
     path: Optional[str] = None
 
     def __post_init__(self):
-        _float_fields(self)
+        _number_fields(self)
         if self.center is not None:
             object.__setattr__(self, "center", tuple(_typed(c, "float", "center") for c in self.center))
         if self.kind not in INITIAL_KINDS:
@@ -209,7 +211,7 @@ class Scenario:
     stop_linf_atol: float = 0.0
 
     def __post_init__(self):
-        _float_fields(self)
+        _number_fields(self)
         # every test is written so that NaN fails it; math.inf in r_list is the sup norm
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
@@ -236,18 +238,17 @@ class Scenario:
             raise ValueError(f"eps_reg must be finite and >= 0, got {self.eps_reg}")
         if self.sigma is not None and not 1.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 1, got {self.sigma}")
-        # two values with one label in columns would share a series column;
-        # the order 1 is always recorded, as l1
-        for key, labelled in (
-            ("r_list", [(1.0, "l1")] + [(r, f"l{r:g}") for r in self.norm_orders]),
-            ("k_levels", [(k, f"gk{k:g}") for k in self.k_levels]),
+        # two values with one label would share a series column or a snapshot
+        # file; the order 1 is always recorded, as l1
+        for key, what, labelled in (
+            ("r_list", "column label", [(1.0, "l1")] + [(r, f"l{r:g}") for r in self.norm_orders]),
+            ("k_levels", "column label", [(k, f"gk{k:g}") for k in self.k_levels]),
+            ("snapshot_times", "file name", [(s, _snapshot_file(s)) for s in self.snapshot_times]),
         ):
             seen = {}
             for value, label in labelled:
                 if label in seen:
-                    raise ValueError(
-                        f"{key} values {seen[label]!r} and {value!r} share the column label {label!r}"
-                    )
+                    raise ValueError(f"{key} values {seen[label]!r} and {value!r} share the {what} {label!r}")
                 seen[label] = value
 
     @property
@@ -741,12 +742,13 @@ def run(scenario: Scenario) -> RunResult:
     weight = grid.quad_weight
     targets = _sample_times(scenario)
     _check_ellipticity(scenario, [0.0] + targets)
-    u0 = make_initial(scenario.initial, grid, scenario.params, scenario.seed)
+    u, t = make_initial(scenario.initial, grid, scenario.params, scenario.seed).values, 0.0
 
     orders = scenario.norm_orders
-    times, norms = [], [[] for _ in scenario.columns]
+    times, norms, snapshots = [], [[] for _ in scenario.columns], []
 
     def record(ts, values):
+        """Append the norm row at ts, and the snapshot when ts is a snapshot time."""
         mag = np.abs(values)
         sup = float(np.maximum.reduce(mag, axis=None, initial=0.0))
         row = [sup, float(np.add.reduce(mag, axis=None) * weight)]
@@ -762,38 +764,29 @@ def run(scenario: Scenario) -> RunResult:
         times.append(ts)
         for column, value in zip(norms, row):
             column.append(value)
+        if ts in scenario.snapshot_times:
+            snapshots.append((ts, ScalarField(grid, values.copy())))
 
-    u = u0.values.copy()
-    t = 0.0
-    record(0.0, u)
-    snapshots = []
-    snap_set = set(scenario.snapshot_times)
-    if 0.0 in snap_set:
-        snapshots.append((0.0, ScalarField(grid, u.copy())))
+    record(t, u)
 
-    accepted = 0
-    blow_time = None
-    stopped_early = False
+    accepted, blow_time, stopped_early = 0, None, False
+    atol = scenario.stop_linf_atol
     problem = (grid, scenario.params, scenario.coefficient, scenario.eps_resolved)
     explicit = scenario.stepper == "explicit"
     stepper = _ExplicitStepper(*problem) if explicit else _ImexStepper(*problem, scenario.dt_init)
 
     try:
         for target in targets:
-            while t < target:
+            # a step that takes all of target - t lands on target; a shorter one
+            # cannot pass it, so t is target here unless the run stopped early
+            while t < target and not stopped_early:
                 u, dt = stepper.advance(u, t, target - t)
                 t = target if dt == target - t else t + dt
                 accepted += 1
-                if scenario.stop_linf_atol > 0.0:
-                    if float(np.max(np.abs(u), initial=0.0)) <= scenario.stop_linf_atol:
-                        stopped_early = True
-                        break
+                stopped_early = atol > 0.0 and float(np.max(np.abs(u), initial=0.0)) <= atol
+            record(t, u)
             if stopped_early:
-                record(t, u)
                 break
-            record(target, u)
-            if target in snap_set:
-                snapshots.append((target, ScalarField(grid, u.copy())))
     except OverflowDetected as exc:
         blow_time = exc.time
 

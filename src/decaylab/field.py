@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fileio import atomic_write_text, fmt_float
+from .fileio import _typed, atomic_write_text, fmt_float
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ class Grid:
     lengths: tuple
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        lengths = tuple(float(l) for l in self.lengths)
+        shape = tuple(_typed(n, "int", "shape") for n in self.shape)
+        lengths = tuple(_typed(l, "float", "lengths") for l in self.lengths)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "lengths", lengths)
         if len(shape) not in (1, 2) or len(lengths) != len(shape):
@@ -336,9 +336,11 @@ class FluxKernel:
             np.add(mag2, tan, out=mag2)
 
     def mobility(self, coeff: CoefficientField, p: float, eps_reg: float, t: float) -> list:
-        """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces."""
+        """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces; eps_reg must be >= 0."""
+        if not eps_reg >= 0.0:  # NaN fails it too
+            raise ValueError(f"eps_reg must be >= 0, got {eps_reg}")
         _, mag2, mob, _ = self._face_arrays
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             if p == 2.0:
                 mob.fill(1.0)
             else:
@@ -382,7 +384,8 @@ class FluxKernel:
         """Conservative divergence of the face fluxes mobility * normal gradient."""
         grad, _, mob, flux = self._face_arrays
         div = self._div
-        with np.errstate(invalid="ignore"):  # 0 * inf on a degenerate face
+        # 0 * inf on a degenerate face, or an overflow: the check below names both
+        with np.errstate(invalid="ignore", over="ignore"):
             np.multiply(mob, grad, out=flux)
             for axis, (hi, lo) in enumerate(self._flux_halves):
                 part = div if axis == 0 else self._node_work
@@ -428,8 +431,6 @@ def gradient(fld: ScalarField) -> tuple:
 
 def face_diffusivities(fld: ScalarField, p: float, eps_reg: float) -> list:
     """(eps^2 + |grad u|^2)^((p-2)/2) on the faces of each axis (no coefficient)."""
-    if eps_reg < 0.0:
-        raise ValueError("eps_reg must be >= 0")
     return _loaded(fld).mobility(CoefficientField(), p, eps_reg, 0.0)
 
 
@@ -447,8 +448,6 @@ def p_flux_divergence(
     mobility), which eps_reg > 0 mends, and for large p and |grad u| a finite
     mobility times the gradient can overflow.
     """
-    if eps_reg < 0.0:
-        raise ValueError("eps_reg must be >= 0")
     kernel = _loaded(fld)
     kernel.mobility(coeff, p, eps_reg, t)
     return ScalarField(fld.grid, kernel.divergence())
@@ -457,6 +456,11 @@ def p_flux_divergence(
 def gradient_magnitude(fld: ScalarField) -> ScalarField:
     """Nodal |grad u|: per axis the centred difference (u(x + h) - u(x - h)) / 2h."""
     return ScalarField(fld.grid, _loaded(fld).nodal_magnitude())
+
+
+def _snapshot_file(t: float) -> str:
+    """The file name of the snapshot at time t."""
+    return f"snapshot_t{t:g}.csv"
 
 
 def _snapshot_header(grid: Grid) -> list:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 import tempfile
 from dataclasses import fields
@@ -31,8 +32,9 @@ def atomic_write_text(path, text: str) -> None:
 
 def _typed(value, kind: str, name: str):
     """value as the field annotation kind reads it, else a ValueError naming name: "float" takes
-    what float() takes (2 and "2.0" are 2.0), "int" an integral number (3 or 3.0), "bool" True
-    or False, "str" a string; "Optional[...]" also takes None, and any other kind any value."""
+    what float() takes (2 and "2.0" are 2.0), "int" an integral number (3, 3.0 or a numpy
+    integer, not a bool) as an int, "bool" True or False, "str" a string; "Optional[...]" also
+    takes None, and any other kind any value."""
     if value is None and kind.startswith("Optional["):
         return None
     kind = kind.removeprefix("Optional[").removesuffix("]")
@@ -44,18 +46,19 @@ def _typed(value, kind: str, name: str):
     if kind == "int":
         if isinstance(value, float) and value.is_integer():
             value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    elif kind == "bool" and not isinstance(value, bool):
+        return int(value)
+    if kind == "bool" and not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
     elif kind == "str" and not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 
-def _float_fields(obj, owner: str = "") -> None:
-    """Set each float and Optional[float] field of a dataclass instance to its _typed value,
-    the error naming owner + the field."""
+def _number_fields(obj, owner: str = "") -> None:
+    """Set each float and int field, Optional or not, of a dataclass instance to its _typed
+    value, the error naming owner + the field."""
     for f in fields(obj):
-        if f.type in ("float", "Optional[float]"):
+        if f.type.removeprefix("Optional[").removesuffix("]") in ("float", "int"):
             object.__setattr__(obj, f.name, _typed(getattr(obj, f.name), f.type, owner + f.name))

@@ -286,14 +286,13 @@ def check_envelope(
     window=None,
     atol: float = 0.0,
 ) -> EnvelopeReport:
-    """Verify measured <= slack * bound(t) (+ atol) at every sample t in the window."""
+    """Verify measured <= slack * bound(t) (+ atol) at every sample t in the window (start < end)."""
     if slack <= 0.0:
         raise ValueError("slack must be > 0")
-    t = series.times
-    v = series.column(label)
-    if window is not None:
-        mask = (t >= float(window[0])) & (t <= float(window[1]))
-        t, v = t[mask], v[mask]
+    if window is None:
+        t, v = series.times, series.column(label)
+    else:
+        t, v, _ = _window_select(series, label, window, positive_t=False)
     b = np.asarray(bound(t), dtype=float)
     if b.shape != t.shape:
         raise ValueError("bound values must match the selected samples")

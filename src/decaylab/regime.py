@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
-from .fileio import _float_fields
+from .fileio import _number_fields
 
 # comparisons against regime boundaries snap within this tolerance
 BOUNDARY_TOL = 1e-12
@@ -61,13 +61,13 @@ class ProblemParams:
     measure: float = 1.0
 
     def __post_init__(self):
-        _float_fields(self)
+        _number_fields(self)
         # every test is written so that NaN fails it
         if not 1.0 < self.p < math.inf:
             raise ValueError(f"p must be finite and > 1, got {self.p}")
         if not 0.0 < self.q < math.inf:
             raise ValueError(f"q must be finite and > 0, got {self.q}")
-        if not (self.dim_n >= 2 and float(self.dim_n).is_integer()):
+        if not self.dim_n >= 2:
             raise ValueError(f"dim_n must be an integer >= 2, got {self.dim_n}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fileio import _float_fields, _typed
+from .fileio import _number_fields, _typed
 from .metrics import (
     DegenerateWindowError,
     InsufficientDataError,
@@ -61,7 +61,7 @@ class FitTarget:
         if self.kind not in FIT_KINDS:
             raise ValueError(f"{owner}: unknown kind {self.kind!r} (have: {', '.join(FIT_KINDS)})")
         object.__setattr__(self, "window", _window(owner, self.window))
-        _float_fields(self, f"{owner}: ")
+        _number_fields(self, f"{owner}: ")
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class EnvelopeTarget:
 
     def __post_init__(self):
         owner = f"envelope target {self.name!r}"
-        _float_fields(self, f"{owner}: ")
+        _number_fields(self, f"{owner}: ")
         if not self.m > 0.0:
             raise ValueError(f"{owner}: exponent m must be > 0, got {self.m}")
         if not self.slack > 0.0:

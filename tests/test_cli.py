@@ -700,6 +700,37 @@ def test_non_numeric_float_field_names_the_field(cls, name):
         cls(**{**VALID_ARGS[cls], name: "abc"})
 
 
+# library values of the int fields that no field read as an integer
+BAD_INTEGERS = [
+    (ProblemParams, "dim_n", "3"),  # TypeError: '>=' not supported, naming no field
+    (Scenario, "seed", None),  # two random_positive runs started from different data
+    (Scenario, "seed", "abc"),  # failed only inside run(), in numpy's SeedSequence
+    (Scenario, "seed", 1.5),
+]
+
+
+@pytest.mark.parametrize("cls, name, bad", BAD_INTEGERS)
+def test_non_integer_int_field_names_the_field(cls, name, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        cls(**{**VALID_ARGS[cls], name: bad})
+
+
+@pytest.mark.parametrize("value", [3.0, np.int64(3)])  # 3.0 stayed a float, np.int64 a numpy integer
+def test_integral_int_field_value_becomes_an_int(value):
+    dim_n = ProblemParams(**{**VALID_ARGS[ProblemParams], "dim_n": value}).dim_n
+    assert dim_n == 3 and type(dim_n) is int
+
+
+def test_snapshot_times_sharing_a_file_name_exit_usage(tmp_path, capsys):
+    # exited 0 with one snapshot_t0.001.csv, the second field written over the first
+    cfg = write_cfg(tmp_path, BASE_CFG + "snapshot_times = [0.001, 0.0010000001]\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "snapshot_times values 0.001 and 0.0010000001 share the file name 'snapshot_t0.001.csv'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("length", ["10", "1.5"])  # ran on lengths (1.0, 0.0); could not convert '.'
 def test_numeric_string_domain_length_runs_as_its_number(tmp_path, capsys, length):
     for name, value in (("number", length), ("string", f'"{length}"')):

@@ -828,6 +828,29 @@ def test_scenario_rejects_values_sharing_a_column_label(key, values, label):
     assert str(caught.value) == f"{key} values {first!r} and {second!r} share the column label {label}"
 
 
+def test_scenario_rejects_snapshot_times_sharing_a_file_name():
+    # simulate wrote both fields to snapshot_t0.001.csv, the second over the first
+    with pytest.raises(ValueError) as caught:
+        _scenario(snapshot_times=(0.001, 0.0010000001))
+    assert str(caught.value) == (
+        "snapshot_times values 0.001 and 0.0010000001 share the file name 'snapshot_t0.001.csv'"
+    )
+
+
+@pytest.mark.parametrize("stepper, p", [("explicit", 2.5), ("imex", 1.8)])
+def test_early_stop_on_a_snapshot_time_returns_the_snapshot(stepper, p):
+    # the zero datum stops at the first sample, which is the snapshot time: no snapshot came back
+    s = _scenario(
+        params=ProblemParams(p=p, q=1.0, dim_n=3), grid=Grid((8,), (1.0,)), initial=InitialSpec(kind="zero"),
+        snapshot_times=(0.001,), sample_start=0.001, sample_ratio=2.0, stop_linf_atol=1e-10, dt_init=1e-3,
+        stepper=stepper,
+    )
+    res = run(s)
+    assert res.metadata["stopped_early"] and list(res.series.times) == [0.0, 0.001]
+    assert [t for t, _ in res.snapshots] == [0.001]
+    assert np.array_equal(res.snapshots[0][1].values, np.zeros(8))
+
+
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -1.0])
 def test_initial_amplitude_must_be_finite_and_nonnegative(amplitude):
     with pytest.raises(ValueError, match="amplitude"):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,12 @@ def test_grid_validation():
         Grid((4,), (-1.0,))
     with pytest.raises(ValueError):
         Grid((4, 4), (1.0,))
+
+
+@pytest.mark.parametrize("entry", [3.7, "3", True])  # built 3, 3 and 1 nodes
+def test_grid_shape_entries_must_be_integers(entry):
+    with pytest.raises(ValueError, match=re.escape(f"shape must be an integer, got {entry!r}")):
+        Grid((entry,), (1.0,))
 
 
 def test_scalar_field_validation():

@@ -458,6 +458,24 @@ def test_degenerate_mobility_error_paths():
         face_diffusivities(fld, 1.5, -1e-3)
 
 
+@pytest.mark.parametrize("eps_reg", [-1e-3, math.nan])
+def test_every_operator_entry_rejects_a_negative_or_nan_eps_reg(eps_reg):
+    # stable_dt, step_explicit and step_imex took -1e-3, which enters squared;
+    # face_diffusivities and p_flux_divergence let NaN through
+    fld = ScalarField(Grid((6, 5), (1.0, 1.0)), _data((6, 5), "random", 3))
+    params = ProblemParams(p=2.5, q=1.0, dim_n=3, gamma=1.0)
+    calls = [
+        lambda: stable_dt(fld, params, eps_reg=eps_reg),
+        lambda: step_explicit(fld, 1e-6, params, eps_reg=eps_reg),
+        lambda: evolve.step_imex(fld, 1e-6, params, eps_reg=eps_reg),
+        lambda: face_diffusivities(fld, 2.5, eps_reg),
+        lambda: p_flux_divergence(fld, CoefficientField(), 2.5, eps_reg),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="eps_reg must be >= 0"):
+            call()
+
+
 def test_overflowing_flux_is_named_as_the_cause():
     # eps_reg > 0 and a finite mobility, but |grad u|^(p - 1) is past the largest double
     grid = Grid((12, 5), (1.0, 1.0))
@@ -465,6 +483,16 @@ def test_overflowing_flux_is_named_as_the_cause():
     assert all(np.all(np.isfinite(d)) for d in face_diffusivities(fld, 26.9, 1e-8))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="a face flux that overflows"):
         p_flux_divergence(fld, CoefficientField(), 26.9, 1e-8)
+
+
+def test_overflowing_flux_raises_without_a_warning():
+    # three RuntimeWarnings (overflow in multiply and divide) came before the ValueError
+    grid = Grid((12, 5), (1.0, 1.0))
+    fld = evolve.make_initial(InitialSpec(kind="eigenfunction", amplitude=2.6e11), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a face flux that overflows"):
+            p_flux_divergence(fld, CoefficientField(), 26.9, 1e-8)
 
 
 def test_overflow_check_catches_non_finite_states():

@@ -352,6 +352,14 @@ def test_check_envelope():
         check_envelope(series_bad, "linf", lambda t: np.ones(3))
 
 
+def test_check_envelope_rejects_a_reversed_window():
+    # it selected no samples and passed as vacuous
+    ts = np.linspace(0.0, 1.0, 11)
+    series = NormSeries(ts, {"linf": np.exp(-ts)})
+    with pytest.raises(ValueError, match="bad window"):
+        check_envelope(series, "linf", lambda t: np.ones_like(t), window=(1.0, 0.5))
+
+
 def test_calibrate_recovers_exact_rate():
     ts = np.linspace(0.0, 1.5, 40)
     for m, rate in [(0.5, 1.3), (1.0, 2.0), (1.8, 0.7)]:

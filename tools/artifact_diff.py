@@ -18,7 +18,10 @@ thread, every config below from this repository:
 - the imex2d config at p = 3.5, q = 1.2 on a 24 x 24 grid up to t = 0.05,
   with gamma = 1 (which damps 139 sweeps in 193 steps) and with gamma = 0
   (which damps 36 and halves dt twice): the damping and halving paths that
-  imex2d itself never takes.
+  imex2d itself never takes;
+- the imex2d config at p = 2, q = 1.5, gamma = 1 on a 48 x 48 grid up to
+  t = 0.5: the linear-diffusion IMEX path (395 steps), which no benchmark
+  workload runs.
 
 Every file the two trees write is compared byte for byte, and so is each
 command's exit code.  In sweep_summary.json the output root is replaced by a
@@ -51,6 +54,7 @@ WORKLOADS = ROOT / "perfbench" / "workloads"
 CLI = "import sys; from decaylab.cli import main; sys.exit(main())"
 SINUSOIDAL = {"coefficient": '"sinusoidal"', "alpha": "0.5", "lambda_upper": "1.5"}
 DAMPED_IMEX = {"p": "3.5", "q": "1.2", "grid_n": "[24, 24]", "t_end": "0.05"}
+LINEAR_IMEX = {"p": "2", "q": "1.5", "gamma": "1", "grid_n": "[48, 48]", "t_end": "0.5"}
 STRING_NUMBERS = {"p": '"1.9"', "q": '"1.5"', "gamma": '"0.1"', "alpha": '"1"', "lambda_upper": '"1.0"',
                   "sobolev_const": '"2"', "initial_amplitude": '"0.8"', "initial_cap": '"1e6"',
                   "t_end": '"0.001"', "dt_init": '"1e-4"', "sample_ratio": '"1.05"', "stop_linf_atol": '"0"'}
@@ -128,6 +132,7 @@ def runs(seeds) -> list:
         ("string_numbers", with_keys(explicit, STRING_NUMBERS), ["simulate"]),
         ("damped_imex_source", with_keys(imex, {**DAMPED_IMEX, "gamma": "1"}), ["simulate"]),
         ("damped_imex_halving", with_keys(imex, {**DAMPED_IMEX, "gamma": "0"}), ["simulate"]),
+        ("linear_imex", with_keys(imex, LINEAR_IMEX), ["simulate"]),
     ]
 
 

@@ -5,19 +5,20 @@ diffusive CFL bound on the face mobility (coefficient times regularized
 diffusivity) plus a source cap keeping each source increment below a tenth of
 the current sup norm.  _ImexStepper runs step_imex, which treats diffusion
 implicitly (lagged diffusivity fixed point) and the gradient source
-explicitly; its sweeps solve by conjugate gradients preconditioned with a
-banded Cholesky factor, which _ImexStepper holds from step to step (with one
-FluxKernel for the run; step_imex gets both as its stepper).  Every sweep
-stops CG at IMEX_CG_FORCING times the nonlinear residual of the iterate it
-starts from (an inexact fixed point, after Eisenstat & Walker's forcing
-terms): the next sweep re-linearizes and discards any accuracy beyond it, and
-the step is accepted only once its own residual meets the tolerance.  A held
-factor that cannot reach that stop within IMEX_CG_MAX_ITER (2) iterations is
-stale, and the sweep renews it.  A step's first iterate extrapolates the last
-accepted step, u_n + (dt/dt_prev)(u_n - u_{n-1}), which _ImexStepper also
-holds.  Each stepper's advance(u, t, dt_max) returns the new state and the dt
-it took; run() passes the time left to the next sample and lands on it
-exactly when the step took all of that time.
+explicitly; its sweeps solve the matrix that FluxKernel.implicit_matrix
+assembles by conjugate gradients preconditioned with a banded Cholesky factor,
+which _ImexStepper holds from step to step (with one FluxKernel for the run;
+step_imex gets both as its stepper).  Every sweep stops CG at IMEX_CG_FORCING
+times the nonlinear residual of the iterate it starts from (an inexact fixed
+point, after Eisenstat & Walker's forcing terms): the next sweep re-linearizes
+and discards any accuracy beyond it, and the step is accepted only once its
+own residual meets the tolerance.  A held factor that cannot reach that stop
+within IMEX_CG_MAX_ITER (2) iterations is stale, and the sweep renews it.  A
+step's first iterate extrapolates the last accepted step,
+u_n + (dt/dt_prev)(u_n - u_{n-1}), which _ImexStepper also holds.  Each
+stepper's advance(u, t, dt_max) returns the new state and the dt it took;
+run() passes the time left to the next sample and lands on it exactly when
+the step took all of that time.
 run() records each sample's row of Scenario.columns, and the state at each
 snapshot time, an early stop's included; it stops on overflow (sup past 1e12)
 or on an optional extinction floor, and returns in RunResult.metadata the
@@ -238,6 +239,8 @@ class Scenario:
             raise ValueError(f"eps_reg must be finite and >= 0, got {self.eps_reg}")
         if self.sigma is not None and not 1.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 1, got {self.sigma}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # two values with one label would share a series column or a snapshot
         # file; the order 1 is always recorded, as l1
         for key, what, labelled in (
@@ -374,7 +377,8 @@ def stable_dt(
     eps_reg: float = 0.0,
     t: float = 0.0,
 ) -> float:
-    """Explicit step bound: diffusive CFL on A(t) D with safety 0.4 plus a source cap."""
+    """Explicit step bound: diffusive CFL on A(t) D with safety 0.4 plus a source cap;
+    0.0 where A(t) D overflows to inf, which run() reports as a collapsed step."""
     return _ExplicitStepper(fld.grid, params, coeff, eps_reg).prepare(fld.values, t)
 
 
@@ -433,18 +437,9 @@ def _single_blas_thread():
         put(before)
 
 
-def _halves(faces: np.ndarray, axis: int) -> tuple:
-    """(faces[1:], faces[:-1]) along axis: the faces after and before each node."""
-    hi = [slice(None)] * faces.ndim
-    lo = [slice(None)] * faces.ndim
-    hi[axis] = slice(1, None)
-    lo[axis] = slice(0, -1)
-    return faces[tuple(hi)], faces[tuple(lo)]
-
-
 @dataclass(frozen=True)
 class _ImplicitStencil:
-    """v -> v - dt * div(D grad v) with Dirichlet zeros, on nodes in C order.
+    """FluxKernel.implicit_matrix's v -> v - dt * div(D grad v), Dirichlet zeros, nodes in C order.
 
     ``upper`` pairs each axis's C-order stride, in ascending order, with the
     coupling between node k and node k + stride along that axis (zero where
@@ -453,20 +448,6 @@ class _ImplicitStencil:
 
     diag: np.ndarray
     upper: tuple
-
-    @classmethod
-    def assemble(cls, grid: Grid, dfaces: list, dt: float) -> "_ImplicitStencil":
-        diag, upper = 1.0, []
-        for axis, (faces, h) in enumerate(zip(dfaces, grid.spacing)):
-            d = faces * (dt / (h * h))
-            hi, lo = _halves(d, axis)
-            diag = diag + lo + hi
-            coupling = np.zeros(grid.shape)
-            # the faces between two nodes couple a node to the next one along axis
-            np.negative(_halves(hi, axis)[1], out=_halves(coupling, axis)[1])
-            stride = math.prod(grid.shape[axis + 1:])
-            upper.insert(0, (stride, coupling.ravel()[: coupling.size - stride]))
-        return cls(diag.ravel(), tuple(upper))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
@@ -602,7 +583,6 @@ def step_imex(
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     grid = fld.grid
-    p = params.p
     t_new = t + dt
     if stepper is None:
         stepper = _ImexStepper(grid, params, coeff, eps_reg, dt)
@@ -616,12 +596,12 @@ def step_imex(
     cg_scale = IMEX_CG_FORCING / math.sqrt(grid.quad_weight)
     flat_b = b.ravel()
 
-    def evaluate(x: np.ndarray) -> tuple:
-        """(face mobility, residual) of iterate x; NonConvergenceError on a non-finite flux divergence."""
+    def evaluate(x: np.ndarray) -> float:
+        """The residual of iterate x, whose mobility the kernel keeps; NonConvergenceError if not finite."""
         kernel.load(x)
-        dfaces = kernel.mobility(coeff, p, eps_reg, t_new)
+        kernel.mobility(coeff, params.p, eps_reg, t_new)
         try:
-            return dfaces, lr_norm(x - dt * kernel.divergence() - b, 2.0, grid.quad_weight)
+            return lr_norm(x - dt * kernel.divergence() - b, 2.0, grid.quad_weight)
         except ValueError as exc:
             raise NonConvergenceError(f"implicit solve produced non-finite values ({exc})") from None
 
@@ -629,23 +609,24 @@ def step_imex(
     if stepper.previous is not None:
         u_prev, dt_prev = stepper.previous
         cur = cur + (dt / dt_prev) * (cur - u_prev)
-    dfaces, res = evaluate(cur)
+    res = evaluate(cur)
     prev_res = math.inf
     for _ in range(IMEX_MAX_ITER):
-        stencil = _ImplicitStencil.assemble(grid, dfaces, dt)
+        stencil = _ImplicitStencil(*kernel.implicit_matrix(dt))
         factor = stepper.factor
         x = None if factor is None else _pcg_sweep(stencil, factor, flat_b, cur.ravel(), cg_scale * res)
         if x is None:
+            stepper.factor = factor = None  # hold one band at a time: free the stale one first
             stepper.factor = stencil.factor()
             x = _cho_solve(stepper.factor, flat_b)
         x = x.reshape(grid.shape)
-        dfaces, res = evaluate(x)
+        res = evaluate(x)
         if res < tol:
             _check_overflow(x, t_new)
             return ScalarField(grid, x)
         if res >= prev_res:
             x = 0.5 * (x + cur)  # damp when the fixed point overshoots; res stays the undamped one's
-            dfaces, _ = evaluate(x)
+            evaluate(x)
         cur = x
         prev_res = res
     raise NonConvergenceError(

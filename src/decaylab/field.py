@@ -10,15 +10,15 @@ Every grid routine here (coordinates, the operator, snapshot I/O) is written
 once, as a loop over the axes; only Grid checks that a grid is 1D or 2D.
 All of the operator runs through one FluxKernel per grid.  It holds the state
 in one flat, zero-bordered padded buffer and computes the face gradients, the
-face mobility, the nodal |grad u| and the divergence with in-place ufuncs,
-each over one contiguous range of that flat index space and into its own
-64-byte-aligned arrays, so a time stepper that keeps one kernel for a run
-allocates only the new state per step.  The centred difference of each axis
-is formed once per state, divided by 4h, and serves both the tangential term
-on the other axes' faces and the nodal |grad u|.  In 2D the ranges cross the
-border columns; those lanes are computed and never read, and every result is
-a strided view of the real faces or nodes.  The public functions below use a
-kernel of their own.
+face mobility, the nodal |grad u|, the divergence and the IMEX matrix with
+in-place ufuncs, each over one contiguous range of that flat index space and
+into its own 64-byte-aligned arrays, so a time stepper that keeps one kernel
+for a run allocates only the new state per step.  The centred difference of
+each axis is formed once per state, divided by 4h, and serves both the
+tangential term on the other axes' faces and the nodal |grad u|.  In 2D the
+ranges cross the border columns; those lanes are computed and never read, and
+every result is a strided view of the real faces or nodes.  The public
+functions below use a kernel of their own.
 """
 
 from __future__ import annotations
@@ -219,9 +219,10 @@ class FluxKernel:
     d_a on the nodes, and the normal gradient and the squared full gradient
     on that axis's faces, whose tangential term along another axis b is the
     sum of d_b over the face's two nodes; mobility(), nodal_magnitude() and
-    divergence() read them.  Every result is a view of the kernel's own
-    arrays and the next call that computes it overwrites it, so a caller
-    that keeps a result copies it.
+    divergence() read them, and implicit_matrix() reads the last mobility.
+    Every result is a view of the kernel's own arrays and the next call
+    that computes it overwrites it, so a caller that keeps a result copies
+    it.
     """
 
     def __init__(self, grid: Grid):
@@ -251,7 +252,7 @@ class FluxKernel:
         self._nodal, self._div, self._node_work = self._buffers[-3:]
         state.fill(0.0)  # the Dirichlet border
         self._interior = state.reshape(padded)[(slice(1, -1),) * dim]
-        # grad, mag2, mob and a work array (the tangential term, then the flux),
+        # grad, mag2, mob and a work array (tangential term, flux, scaled mobility),
         # and each axis's range of grad, mob and the work array
         self._face_arrays = self._buffers[1:5]
         for array in self._face_arrays:
@@ -401,6 +402,20 @@ class FluxKernel:
             )
         return self._div_nodes
 
+    def implicit_matrix(self, dt: float) -> tuple:
+        """evolve._ImplicitStencil's (diag, upper) at dt for the last mobility(); overwrites the flux."""
+        shape, diag, node_strides, upper = self.grid.shape, self._node_work, self._div_nodes.strides, []
+        for axis, h in enumerate(self._spacing):  # dt mob / h^2 over the axis's faces, into the work array
+            np.multiply(self._mob[axis], dt / (h * h), out=self._face_work[axis])
+            hi, lo = self._flux_halves[axis]
+            np.add(diag if axis else 1.0, lo, out=diag)  # 1 + lower + upper face, axis by axis
+            np.add(diag, hi, out=diag)
+            coupling = -np.ndarray(shape, buffer=hi, strides=node_strides)  # the face above each node
+            coupling.swapaxes(0, axis)[-1] = 0.0  # a node that ends its line couples to none
+            stride = coupling.strides[axis] // coupling.itemsize
+            upper.insert(0, (stride, coupling.ravel()[: coupling.size - stride]))
+        return np.ndarray(shape, buffer=diag, strides=node_strides).flatten(), tuple(upper)
+
 
 _ALIGN = 64  # bytes: a cache line, and the widest SIMD register
 _LANES = _ALIGN // 8  # doubles per _ALIGN bytes
@@ -430,7 +445,8 @@ def gradient(fld: ScalarField) -> tuple:
 
 
 def face_diffusivities(fld: ScalarField, p: float, eps_reg: float) -> list:
-    """(eps^2 + |grad u|^2)^((p-2)/2) on the faces of each axis (no coefficient)."""
+    """(eps^2 + |grad u|^2)^((p-2)/2) on the faces of each axis (no coefficient);
+    inf, without a warning, on a face where the power overflows."""
     return _loaded(fld).mobility(CoefficientField(), p, eps_reg, 0.0)
 
 

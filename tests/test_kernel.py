@@ -413,13 +413,13 @@ def test_step_imex_matches_the_pad_formulas(shape, coeff_kind, p, gamma, dt, mon
     want = ref_step_imex(fld, dt, params, coeff, 1e-3, 0.2)
 
     sweeps = []
-    assemble = evolve._ImplicitStencil.assemble.__func__
+    real_matrix = FluxKernel.implicit_matrix
 
-    def counting(cls, *args):
+    def counting(kernel, dt):
         sweeps.append(1)
-        return assemble(cls, *args)
+        return real_matrix(kernel, dt)
 
-    monkeypatch.setattr(evolve._ImplicitStencil, "assemble", classmethod(counting))
+    monkeypatch.setattr(FluxKernel, "implicit_matrix", counting)
     got = step_imex(fld, dt, params, coeff, 1e-3, 0.2)
     assert len(sweeps) >= 2
     assert np.array_equal(got.values, want)
@@ -433,7 +433,10 @@ def test_implicit_stencil_matches_the_branch_assembly(shape, coeff_kind):
     comps = ref_face_components(fld.values, grid.spacing)
     dfaces = ref_face_mobility(comps, grid, COEFFICIENTS[coeff_kind], 1.7, 1e-3, 0.2)
     want = evolve._ImplicitStencil(*ref_assemble(grid, dfaces, 0.02))
-    got = evolve._ImplicitStencil.assemble(grid, dfaces, 0.02)
+    kernel = FluxKernel(grid)
+    kernel.load(fld.values)
+    kernel.mobility(COEFFICIENTS[coeff_kind], 1.7, 1e-3, 0.2)
+    got = evolve._ImplicitStencil(*kernel.implicit_matrix(0.02))
     assert np.array_equal(got.diag, want.diag)
     assert [k for k, _ in got.upper] == [k for k, _ in want.upper]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.upper, want.upper))
@@ -493,6 +496,21 @@ def test_overflowing_flux_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="a face flux that overflows"):
             p_flux_divergence(fld, CoefficientField(), 26.9, 1e-8)
+
+
+def test_overflowing_mobility_is_inf_and_collapses_the_explicit_step():
+    # (eps^2 + |grad u|^2)^12.45 is past the largest double on every face:
+    # the mobility holds inf silently, the stable dt is 0 and run() stops on it
+    grid = Grid((12, 5), (1.0, 1.0))
+    initial = InitialSpec(kind="eigenfunction", amplitude=1e30)
+    fld = evolve.make_initial(initial, grid)
+    params = ProblemParams(p=26.9, q=1.0, dim_n=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(np.all(d == math.inf) for d in face_diffusivities(fld, 26.9, 1e-8))
+        assert stable_dt(fld, params, eps_reg=1e-8) == 0.0
+        with pytest.raises(NonConvergenceError, match="step size collapsed at t=0"):
+            run(Scenario(params=params, grid=grid, initial=initial, t_end=0.1, eps_reg=1e-8))
 
 
 def test_overflow_check_catches_non_finite_states():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from decaylab.regime import (
     NonPositiveRateError,
@@ -360,3 +362,65 @@ def test_prediction_envelope_variable_change():
             t_x = envelope_extinction_time(y0, pred.norm_rate, pred.norm_m)
             assert t_y == pytest.approx(t_x, rel=1e-9)
             assert pred.extinction_time == pytest.approx(t_x, rel=1e-9)
+
+
+# The scaling group behind the exponent calculus, derived here and not read
+# from regime.py.  For gamma = 0, v(t, x) = mu u(mu^(p-2) lam^p t, lam x) maps
+# solutions to solutions; with the source gamma |grad u|^q it also needs
+# mu^(q-p+1) = lam^(p-q).  Writing mu = e^m and lam = e^l, a quantity of v is
+# e^(a m + b l) times the same quantity of u, and (a, b) is its exponent pair.
+
+
+def _time_pair(p):
+    return (2.0 - p, -p)  # t_v = mu^(2-p) lam^(-p) t_u
+
+
+def _norm_pair(r, n):
+    return (1.0, -n / r)  # ||v||_r; the sup norm is r = inf
+
+
+def _scales_alike(lhs, data, data_exp, time, time_exp) -> bool:
+    """Whether lhs scales as data^data_exp t^(-time_exp), to 1e-12: the bound
+    lhs <= C data^data_exp t^(-time_exp) is then invariant under the group."""
+    rhs = [data_exp * d - time_exp * t for d, t in zip(data, time)]
+    return all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12) for a, b in zip(lhs, rhs))
+
+
+@settings(max_examples=300)
+@given(
+    p=st.floats(1.2, 6.0),
+    theta=st.floats(0.05, 0.95),
+    n=st.integers(2, 5),
+    sigma=st.floats(1.0, 20.0),
+    excess=st.floats(0.1, 20.0),
+)
+def test_exponents_make_the_bounds_scale_invariant(p, theta, n, sigma, excess):
+    # sigma_exponent: the one order whose norm the source subgroup leaves
+    # invariant; q = p - 1 + theta keeps that subgroup's mu exponent finite
+    q = p - 1.0 + theta
+    mu_per_lam = (p - q) / (q - p + 1.0)
+    a, b = _norm_pair(sigma_exponent(p, q, n), n)
+    assert math.isclose(a * mu_per_lam + b, 0.0, abs_tol=1e-12)
+
+    assume(n * (p - 2.0) + p * sigma > 0.5)  # both truncation bounds need N(p-2) + p sigma > 0
+    g0, time = _norm_pair(sigma, n), _time_pair(p)
+    # sup |G_k(u(t))| <= C g0^A t^-B: A + (p-2)B = 1 and pB = NA/sigma
+    data_exp, time_exp = sup_decay_exponents(p, sigma, n)
+    assert _scales_alike(_norm_pair(math.inf, n), g0, data_exp, time, time_exp)
+    # ||G_k(u(t))||_r^r <= C g0^A t^-B, r > sigma
+    r = sigma + excess
+    data_exp, time_exp = regularizing_exponents(p, sigma, r, n)
+    assert _scales_alike((r, -n), g0, data_exp, time, time_exp)
+
+    # the datum-free sup bound C t^-B on a fixed domain: lam = 1, so only mu counts
+    if p > 2.05:
+        assert _scales_alike(_norm_pair(math.inf, n)[:1], (0.0,), 0.0, time[:1], universal_sup_exponent(p))
+
+    # lambda_rate is a rate of the sigma-power Y, so it scales as 1 / (t Y^((p-2)/sigma)),
+    # with Y = ||u||_sigma^sigma; the domain's measure scales as lam^-N
+    y = (sigma, -n)
+    rate = [-t - (p - 2.0) / sigma * c for t, c in zip(time, y)]
+    assert math.isclose(rate[0], 0.0, abs_tol=1e-12)  # no rate depends on the data's size
+    params = [ProblemParams(p=p, q=p / 2.0, dim_n=n, measure=m) for m in (1.0, 2.0)]
+    measure_exp = math.log2(lambda_rate(params[1], sigma, 0.0) / lambda_rate(params[0], sigma, 0.0))
+    assert math.isclose(measure_exp * -n, rate[1], rel_tol=1e-12, abs_tol=1e-12)

@@ -21,7 +21,13 @@ thread, every config below from this repository:
   imex2d itself never takes;
 - the imex2d config at p = 2, q = 1.5, gamma = 1 on a 48 x 48 grid up to
   t = 0.5: the linear-diffusion IMEX path (395 steps), which no benchmark
-  workload runs.
+  workload runs;
+- ONE_D, 64 nodes in 1D with an eigenfunction datum at p = 2, q = 1.9,
+  gamma = 50, dim_n = 2 up to t = 0.5, whose bounded datum overflows
+  (exit 4): explicitly at t = 6.73e-4, and with IMEX at dt_init = 1e-3 at
+  t = 9.1e-4;
+- ONE_D as an IMEX run that completes: p = 1.7, q = 1.5, gamma = 0.5, a
+  bump, up to t = 0.2 (191 rows).  No other run is 1D.
 
 Every file the two trees write is compared byte for byte, and so is each
 command's exit code.  In sweep_summary.json the output root is replaced by a
@@ -58,6 +64,16 @@ LINEAR_IMEX = {"p": "2", "q": "1.5", "gamma": "1", "grid_n": "[48, 48]", "t_end"
 STRING_NUMBERS = {"p": '"1.9"', "q": '"1.5"', "gamma": '"0.1"', "alpha": '"1"', "lambda_upper": '"1.0"',
                   "sobolev_const": '"2"', "initial_amplitude": '"0.8"', "initial_cap": '"1e6"',
                   "t_end": '"0.001"', "dt_init": '"1e-4"', "sample_ratio": '"1.05"', "stop_linf_atol": '"0"'}
+ONE_D = """\
+p = 2
+q = 1.9
+dim_n = 2
+gamma = 50
+grid_n = 64
+initial_kind = "eigenfunction"
+t_end = 0.5
+"""
+ONE_D_IMEX = {"p": "1.7", "q": "1.5", "gamma": "0.5", "initial_kind": '"bump"', "t_end": "0.2", "stepper": '"imex"'}
 EVERY_KEY = """\
 p = 2
 q = 1
@@ -133,6 +149,9 @@ def runs(seeds) -> list:
         ("damped_imex_source", with_keys(imex, {**DAMPED_IMEX, "gamma": "1"}), ["simulate"]),
         ("damped_imex_halving", with_keys(imex, {**DAMPED_IMEX, "gamma": "0"}), ["simulate"]),
         ("linear_imex", with_keys(imex, LINEAR_IMEX), ["simulate"]),
+        ("oned_explicit_overflow", ONE_D, ["simulate"]),
+        ("oned_imex_overflow", with_keys(ONE_D, {"stepper": '"imex"', "dt_init": "1e-3"}), ["simulate"]),
+        ("oned_imex", with_keys(ONE_D, ONE_D_IMEX), ["simulate"]),
     ]
 
 

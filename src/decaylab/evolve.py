@@ -5,16 +5,17 @@ diffusive CFL bound on the face mobility (coefficient times regularized
 diffusivity) plus a source cap keeping each source increment below a tenth of
 the current sup norm.  _ImexStepper runs step_imex, which treats diffusion
 implicitly (lagged diffusivity fixed point) and the gradient source
-explicitly; its sweeps solve the matrix that FluxKernel.implicit_matrix
-assembles by conjugate gradients preconditioned with a banded Cholesky factor,
-which _ImexStepper holds from step to step (with one FluxKernel for the run;
-step_imex gets both as its stepper).  Every sweep stops CG at IMEX_CG_FORCING
-times the nonlinear residual of the iterate it starts from (an inexact fixed
-point, after Eisenstat & Walker's forcing terms): the next sweep re-linearizes
-and discards any accuracy beyond it, and the step is accepted only once its
-own residual meets the tolerance.  A held factor that cannot reach that stop
-within IMEX_CG_MAX_ITER (2) iterations is stale, and the sweep renews it.  A
-step's first iterate extrapolates the last accepted step,
+explicitly.  spsolve solves each sweep's matrix, which
+FluxKernel.implicit_matrix assembles, by conjugate gradients preconditioned
+with a banded Cholesky factor, which _ImexStepper holds from step to step
+(with one FluxKernel for the run; step_imex gets both as its stepper).
+Every sweep stops CG at IMEX_CG_FORCING times the nonlinear residual of the
+iterate it starts from (an inexact fixed point, after Eisenstat & Walker's
+forcing terms): the next sweep re-linearizes and discards any accuracy
+beyond it, and the step is accepted only once its own residual meets the
+tolerance.  A held factor that cannot reach that stop within
+IMEX_CG_MAX_ITER (2) iterations is stale, and spsolve renews it.  A step's
+first iterate extrapolates the last accepted step,
 u_n + (dt/dt_prev)(u_n - u_{n-1}), which _ImexStepper also holds.  Each
 stepper's advance(u, t, dt_max) returns the new state and the dt it took;
 run() passes the time left to the next sample and lands on it exactly when
@@ -63,18 +64,6 @@ IMEX_RTOL = 1e-10
 IMEX_CG_MAX_ITER = 2  # CG iterations per sweep; a factor that needs more is stale and renewed
 IMEX_CG_FORCING = 0.1  # each sweep's CG stops at this fraction of its starting iterate's residual
 MAX_SAMPLE_TARGETS = 200000
-
-
-def __getattr__(name: str):
-    """`evolve.spsolve` is scipy's, imported on first access (PEP 562).
-
-    Nothing in the package calls it; perfbench/traced.py wraps the name.
-    """
-    if name == "spsolve":
-        from scipy.sparse.linalg import spsolve
-
-        return spsolve
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class OverflowDetected(RuntimeError):
@@ -546,6 +535,24 @@ def _pcg_sweep(stencil, factor, b, x0, atol):
     return None
 
 
+def spsolve(stencil: _ImplicitStencil, stepper: _ImexStepper, b: np.ndarray, x0: np.ndarray, atol: float):
+    """Solve one IMEX sweep's stencil x = b; perfbench/traced.py times each call by this name.
+
+    CG from x0 to atol, preconditioned with stepper.factor, an earlier sweep's
+    banded Cholesky factor.  When there is none, or CG misses atol within
+    IMEX_CG_MAX_ITER iterations (the factor is stale), the stencil's own
+    factor replaces it in stepper and solves directly; NonConvergenceError
+    when that factorization fails.
+    """
+    if stepper.factor is not None:
+        x = _pcg_sweep(stencil, stepper.factor, b, x0, atol)
+        if x is not None:
+            return x
+    stepper.factor = None  # hold one band at a time: free the stale one first
+    stepper.factor = stencil.factor()
+    return _cho_solve(stepper.factor, b)
+
+
 def step_imex(
     fld: ScalarField,
     dt: float,
@@ -559,16 +566,12 @@ def step_imex(
     """Backward Euler diffusion via damped lagged-diffusivity iteration.
 
     The gradient source is explicit (frozen at time t).  Each sweep solves its
-    own matrix by CG preconditioned with the banded Cholesky factor of an
-    earlier matrix, warm-started at the last iterate, and stops CG at
+    own matrix with spsolve, warm-started at the last iterate, to
     IMEX_CG_FORCING times the nonlinear residual of that iterate: the next
     sweep re-linearizes and discards any accuracy beyond it, and the step is
-    accepted only once its own residual is below the tolerance.  When CG
-    misses its stop within IMEX_CG_MAX_ITER iterations the factor is stale,
-    or there is none yet: the sweep then factors its own matrix and solves
-    with it directly.  stepper, when given, is the _ImexStepper on fld's grid
-    whose kernel the step works in and whose factor (None at first)
-    preconditions the first sweep; each new factor is stored back into it.
+    accepted only once its own residual is below the tolerance.  stepper,
+    when given, is the _ImexStepper on fld's grid whose kernel the step works
+    in and whose factor (None at first) spsolve uses and renews.
     When the stepper holds the previous accepted step (u_{n-1}, dt_prev), the
     first iterate is u_n + (dt/dt_prev)(u_n - u_{n-1}); the source and the
     right-hand side still use u_n.  Without a stepper the step builds a fresh
@@ -613,13 +616,7 @@ def step_imex(
     prev_res = math.inf
     for _ in range(IMEX_MAX_ITER):
         stencil = _ImplicitStencil(*kernel.implicit_matrix(dt))
-        factor = stepper.factor
-        x = None if factor is None else _pcg_sweep(stencil, factor, flat_b, cur.ravel(), cg_scale * res)
-        if x is None:
-            stepper.factor = factor = None  # hold one band at a time: free the stale one first
-            stepper.factor = stencil.factor()
-            x = _cho_solve(stepper.factor, flat_b)
-        x = x.reshape(grid.shape)
+        x = spsolve(stencil, stepper, flat_b, cur.ravel(), cg_scale * res).reshape(grid.shape)
         res = evaluate(x)
         if res < tol:
             _check_overflow(x, t_new)
@@ -685,7 +682,7 @@ class _ImexStepper:
     """step_imex at dt_init, halving dt after each solve that fails to converge.
 
     Every step works in the one FluxKernel, kernel, and factor holds the last
-    banded factor step_imex made (None at first), a rejected step's included.
+    banded factor spsolve made (None at first), a rejected step's included.
     previous holds (u_{n-1}, dt) of the last accepted step (None at first),
     from which step_imex extrapolates its first iterate; a rejected attempt
     leaves it as it was.

@@ -467,6 +467,28 @@ t_end = {3.0 * dt!r}
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_BLOWUP)
 
 
+HALVINGS_CFG = """
+p = 1.5
+q = 1.0
+dim_n = 3
+grid_n = [8, 8]
+initial_kind = "bump"
+initial_radius = 0.2
+eps_reg = 0.0
+dt_init = 1e-3
+t_end = 0.01
+stepper = "imex"
+"""
+
+
+def test_simulate_imex_halvings_run_out_exit(tmp_path, capsys):
+    # every IMEX attempt meets a flat face of infinite mobility; once the
+    # halvings run out the step fails, which is not a usage error
+    cfg = write_cfg(tmp_path, HALVINGS_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_BLOWUP
+    assert capsys.readouterr().err.startswith("stepping failure: implicit solve produced non-finite values")
+
+
 def test_simulate_negative_eps_reg_exits_usage(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG + "eps_reg = -1e-3\n")
     out = tmp_path / "out"

@@ -1151,6 +1151,40 @@ def test_run_step_size_collapse_is_a_stepping_failure():
         run(s)
 
 
+@pytest.mark.parametrize("stepper", ["explicit", "imex"])
+def test_a_bounded_datum_above_1e3_runs_to_t_end(stepper):
+    # heat keeps sup u(t) <= sup u_0 = 1e4: no overflow may be reported below that
+    res = run(_scenario(initial=InitialSpec(kind="eigenfunction", amplitude=1e4), stepper=stepper))
+    linf = res.series.column("linf")
+    assert linf[0] > 1e3
+    assert res.blow_up_time is None and res.series.times[-1] == 0.01
+    assert np.all(linf <= linf[0])
+
+
+def test_imex_halvings_run_out_as_a_stepping_failure(monkeypatch):
+    # p < 2 with eps_reg = 0: a flat face has infinite mobility, so every attempt fails
+    s = _scenario(
+        params=ProblemParams(p=1.5, q=1.0, dim_n=3),
+        grid=Grid((8, 8), (1.0, 1.0)),
+        initial=InitialSpec(kind="bump", radius=0.2),
+        eps_reg=0.0,
+        dt_init=1e-3,
+        stepper="imex",
+    )
+    attempts, real_step = [], evolve.step_imex
+
+    def counting_step(fld, dt, *args, **kwargs):
+        attempts.append(dt)
+        return real_step(fld, dt, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "step_imex", counting_step)
+    with pytest.raises(NonConvergenceError, match="non-finite"):
+        run(s)
+    # the first step is capped at the first sample time; each retry halves it
+    assert len(attempts) == evolve.IMEX_MAX_HALVINGS + 1 == 21
+    assert attempts == [1e-4 * s.t_end * 0.5**k for k in range(21)]
+
+
 def test_overflow_exception_payload():
     g = Grid((1,), (1.0,))
     params = ProblemParams(p=2.0, q=1.0, dim_n=3, gamma=1e9)

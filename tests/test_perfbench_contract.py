@@ -72,6 +72,7 @@ def test_traced_run_writes_spans_and_states(stepper, tmp_path):
     names = {s[0] for path in spans for s in json.loads(path.read_text())["spans"]}
     assert {"cli.main", "evolve.run", "metrics.lr_norm", "metrics.truncate_excess"} <= names
     assert ("evolve.step_imex" in names) == (stepper == "imex")
+    assert ("evolve.spsolve" in names) == (stepper == "imex")
 
     # the kernel timings call these by position on the saved states
     scen = build_scenario(load_config(tmp_path / "out" / "config.txt"))

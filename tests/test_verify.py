@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import decaylab
@@ -124,3 +125,55 @@ def test_good_targets_build_a_spec():
     assert [t.name for t in spec.fits] == ["f"]
     assert [t.name for t in spec.envelopes] == ["e", "e2"]
     assert spec.envelopes[1].window == (0.0, 0.5) and spec.envelopes[1].rate == 2.0
+
+
+# every verdict branch of run_verification, on synthetic series: each row's
+# check must fail when that branch's condition holds and pass beside it
+TIMES = np.linspace(0.1, 1.0, 10)
+RECIPROCAL = {"linf": 1.0 / TIMES}  # power slope -1, exponential rate 1.11
+STEP = np.repeat([0.0, 1.0], 5)  # a rise halfway through
+
+
+def _fit_spec(window=(0.1, 1.0), **kw):
+    return VerificationSpec(fits=(FitTarget(name="f", label="linf", kind="power", window=window, **kw),))
+
+
+def _env_spec(**kw):
+    return VerificationSpec(envelopes=(EnvelopeTarget(name="e", label="linf", m=1.0, **kw),))
+
+
+@pytest.mark.parametrize(
+    "columns, spec, passed, reason",
+    [
+        (RECIPROCAL, _fit_spec(expected=-1.0), True, None),
+        (RECIPROCAL, _fit_spec(expected=-1.1, rtol=0.05), False, None),
+        (RECIPROCAL, _fit_spec(min_slope=-1.1), True, None),
+        (RECIPROCAL, _fit_spec(min_slope=-0.9), False, None),
+        (RECIPROCAL, _fit_spec(max_slope=-0.9), True, None),
+        (RECIPROCAL, _fit_spec(max_slope=-1.1), False, None),
+        (RECIPROCAL, _fit_spec(window=(0.1, 0.75)), False, "need >= 8 samples"),
+        (RECIPROCAL, _fit_spec(floor=2.0), False, "touches the floor"),
+        (RECIPROCAL, _env_spec(), True, None),
+        ({"linf": np.array([1.0] + [0.0] * 9)}, _env_spec(), False, "no usable sample pairs"),
+        (RECIPROCAL, _env_spec(rate=0.0), False, "nonpositive decay rate"),
+        ({"linf": TIMES}, _env_spec(), False, "nonpositive decay rate"),
+        (RECIPROCAL, VerificationSpec(linf_contraction=True), True, None),
+        ({"linf": 1.0 + 1e-6 * STEP}, VerificationSpec(linf_contraction=True), False, None),
+        ({"gk0_lsigma": 1.0 + 1e-7 * STEP}, VerificationSpec(gk_contraction=True), True, None),
+        ({"gk0_lsigma": 1.0 + 1e-4 * STEP}, VerificationSpec(gk_contraction=True), False, None),
+    ],
+    ids=[
+        "expected_met", "expected_missed", "min_slope_met", "min_slope_missed", "max_slope_met",
+        "max_slope_missed", "fit_too_few_samples", "fit_touches_floor", "envelope_calibrated",
+        "envelope_calibration_fails", "envelope_zero_rate", "envelope_negative_rate", "linf_falls",
+        "linf_rises_1e-6", "gk_rises_1e-7", "gk_rises_1e-4",
+    ],
+)
+def test_each_verdict_branch_can_fail(columns, spec, passed, reason):
+    series = NormSeries(TIMES, {"linf": 1.0 / TIMES, **columns})
+    report, _ = run_verification(spec, series, 2.0)
+    [check] = report["checks"]
+    assert check["passed"] is passed and report["passed"] is passed
+    assert not check["vacuous"]
+    if reason is not None:
+        assert reason in check["reason"]

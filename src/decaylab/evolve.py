@@ -79,6 +79,10 @@ class NonConvergenceError(RuntimeError):
     """A step failed: the implicit solve did not converge or the step size collapsed."""
 
 
+class _DatumFailure(NonConvergenceError):
+    """An IMEX step failed on its datum's own flux divergence, which no dt changes."""
+
+
 INITIAL_KINDS = ("zero", "eigenfunction", "bump", "power_spike", "random_positive", "file")
 
 
@@ -292,11 +296,12 @@ class _ExplicitStepper:
     prepare(values, t) loads a state and returns its stable dt: the diffusive
     CFL bound with safety 0.4 on the face mobility A(t) D, capped so that the
     source adds at most a tenth of the sup norm in one step.  update(dt) then
-    returns the stepped state, a new array, and its sup norm.  advance(u, t,
-    dt_max) is one step of run(): at the stable dt, or dt_max when that is
-    smaller, returning the new state and the dt it took.  The state advance
-    returned last comes back as the next u, so the sup norm its overflow
-    check took is that state's source-cap sup.
+    returns the stepped state, a new array, and its sup norm, forming
+    dt * rhs over the kernel's contiguous node range.  advance(u, t, dt_max)
+    is one step of run(): at the stable dt, or dt_max when that is smaller,
+    returning the new state and the dt it took.  The state advance returned
+    last comes back as the next u, so the sup norm its overflow check took is
+    that state's source-cap sup.
     """
 
     rejected = 0
@@ -306,8 +311,9 @@ class _ExplicitStepper:
         self.params, self.coeff, self.eps_reg = params, coeff, eps_reg
         h_min = min(grid.spacing)
         self._cfl = (CFL_SAFETY * h_min * h_min, 2.0 * grid.dim)
-        self._source = _aligned_buffers([math.prod(grid.shape)])[0].reshape(grid.shape)
-        self._values, self._t, self._grad_mag = None, 0.0, None
+        self._node_range = self.kernel.node_range()
+        self._abs = _aligned_buffers([math.prod(grid.shape)])[0].reshape(grid.shape)
+        self._values, self._t = None, 0.0
         self._last = (None, None)
 
     def prepare(self, values: np.ndarray, t: float, sup: Optional[float] = None) -> float:
@@ -323,25 +329,28 @@ class _ExplicitStepper:
         else:
             stable = float("inf")
         if params.gamma > 0.0:
-            self._grad_mag = kernel.nodal_magnitude()
+            kernel.nodal_magnitude()
             source_max = params.gamma * kernel.max_nodal_magnitude() ** params.q
             if source_max > 0.0:
                 if sup is None:
-                    sup = float(np.max(np.abs(values, out=self._source), initial=0.0))
+                    sup = float(np.max(np.abs(values, out=self._abs), initial=0.0))
                 stable = min(stable, SOURCE_CAP_FRACTION * max(sup, U_FLOOR) / source_max)
         return stable
 
     def update(self, dt: float) -> tuple:
         """(values + dt * rhs, its sup norm); OverflowDetected past the sentinel."""
-        params, work = self.params, self._source
-        rhs = self.kernel.divergence()
+        params = self.params
+        grad_mag, rhs, work, work_nodes = self._node_range
+        self.kernel.divergence()
         if params.gamma > 0.0:
-            source = _power(self._grad_mag, params.q, out=work)
+            source = _power(grad_mag, params.q, out=work)
             np.multiply(source, params.gamma, out=source)
             rhs = np.add(rhs, source, out=work)
         np.multiply(rhs, dt, out=work)
-        new = self._values + work
-        return new, _check_overflow(new, self._t + dt, work=work)
+        # the new state; values + work_nodes would also buffer the strided view
+        new = work_nodes.copy()
+        np.add(self._values, new, out=new)
+        return new, _check_overflow(new, self._t + dt, work=self._abs)
 
     def advance(self, u, t, dt_max):
         last, sup = self._last
@@ -581,7 +590,9 @@ def step_imex(
     non-finite value anywhere (in the iterate, a real face's mobility or a
     flux) makes that divergence non-finite, and that, a failed
     factorization, or IMEX_MAX_ITER sweeps without convergence raise
-    NonConvergenceError.
+    NonConvergenceError: a _DatumFailure when the iterate is u_n itself,
+    whose divergence no dt changes (short of an A(t + dt) that moves a flux
+    across overflow).
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -606,6 +617,11 @@ def step_imex(
         try:
             return lr_norm(x - dt * kernel.divergence() - b, 2.0, grid.quad_weight)
         except ValueError as exc:
+            if x is fld.values:
+                raise _DatumFailure(
+                    f"implicit solve produced non-finite values ({exc}) at the datum itself, "
+                    "which no step size mends"
+                ) from None
             raise NonConvergenceError(f"implicit solve produced non-finite values ({exc})") from None
 
     cur = fld.values
@@ -679,7 +695,7 @@ def _step_size(t: float, dt: float) -> float:
 
 
 class _ImexStepper:
-    """step_imex at dt_init, halving dt after each solve that fails to converge.
+    """step_imex at dt_init, halving dt after each solve that fails to converge, but not on a _DatumFailure.
 
     Every step works in the one FluxKernel, kernel, and factor holds the last
     banded factor spsolve made (None at first), a rejected step's included.
@@ -706,9 +722,9 @@ class _ImexStepper:
                 new = step_imex(fld, dt, self.params, self.coeff, self.eps_reg, t, stepper=self).values
                 self.previous = (u, dt)
                 return new, dt
-            except NonConvergenceError:
+            except NonConvergenceError as exc:
                 self.rejected += 1
-                if halvings == IMEX_MAX_HALVINGS:
+                if halvings == IMEX_MAX_HALVINGS or isinstance(exc, _DatumFailure):
                     raise
                 dt *= 0.5
 

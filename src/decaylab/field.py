@@ -14,11 +14,14 @@ face mobility, the nodal |grad u|, the divergence and the IMEX matrix with
 in-place ufuncs, each over one contiguous range of that flat index space and
 into its own 64-byte-aligned arrays, so a time stepper that keeps one kernel
 for a run allocates only the new state per step.  The centred difference of
-each axis is formed once per state, divided by 4h, and serves both the
-tangential term on the other axes' faces and the nodal |grad u|.  In 2D the
-ranges cross the border columns; those lanes are computed and never read, and
-every result is a strided view of the real faces or nodes.  The public
-functions below use a kernel of their own.
+each axis is formed once per state, times 1/(4h), and serves both the
+tangential term on the other axes' faces and the nodal |grad u|.  The kernel
+multiplies by 1/h and 1/(4h) where the formulas divide, and takes the mobility
+power as exp(e log(.)) outside POW_FREE: cheaper than the division and pow,
+within the bounds of them that tests/test_kernel.py pins.  In 2D the ranges
+cross the border columns; those lanes are computed and never read, and every
+result is a strided view of the real faces or nodes.  The public functions
+below use a kernel of their own.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ POW_FREE = frozenset((0.5, 1.0, 1.5, 2.0, 3.0, 4.0))
 
 
 def _power(x: np.ndarray, e: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """x ** e, into out if given (out may be x): every power the steppers and norms take.
+    """x ** e, into out if given (out may be x): the powers of the source and the norms.
 
     An e in POW_FREE, by exact equality, skips pow: e = 0.5 and 2 take the
     sqrt and square that numpy's ** uses, e = 1 copies x, e = 1.5 is
@@ -163,7 +166,8 @@ def _power(x: np.ndarray, e: float, out: Optional[np.ndarray] = None) -> np.ndar
     product is rounded once, so a result may differ from pow's by an ulp, at
     about a third to a quarter of pow's cost.  With out given and not x,
     none of them allocates.  Every other e, 3.0000000000000013 included,
-    goes to np.power.
+    goes to np.power, whose bases here (|grad u| and |u|) hold exact zeros.
+    FluxKernel.mobility takes its own power outside POW_FREE.
     """
     if e == 0.5:
         return np.sqrt(x, out=out)
@@ -187,7 +191,7 @@ class FluxKernel:
     border of Dirichlet zeros, (n0+2)(n1+2) doubles in C order (n+2 in 1D).
     A face normal to an axis is indexed there by the node below it, and a
     node's neighbours sit at fixed offsets, +-stride along each axis.  So the
-    scaled centred difference d_a = (u(n + stride_a) - u(n - stride_a)) / 4h_a
+    scaled centred difference d_a = (u(n + stride_a) - u(n - stride_a)) * (1/4h_a)
     of every stored node is two ufuncs per axis, the faces of an axis form
     one contiguous index range, from its first real face to its last, and
     the nodes one range from the first real node to the last.  Each face
@@ -195,10 +199,11 @@ class FluxKernel:
     and then the flux) is one array holding every axis's face range, one
     after another.  A step that is the same on every axis (a square, a sum,
     the mobility power, the flux) is one ufunc over that whole array; a step
-    that differs per axis (a difference, a division by h) is one ufunc over
+    that differs per axis (a difference, a product with 1/h) is one ufunc over
     each axis's range, and each node quantity (|grad u|, divergence) is one
     ufunc per step over the node range.  Every real face and node gets the
-    floating-point operations, in the order, of the per-axis formulas.
+    floating-point operations, in the order, of the per-axis formulas, with
+    a product by 1/h or 1/(4h), kept per axis, for each division by h or 4h.
 
     In 2D those ranges also cross the border columns.  Their lanes are
     computed but never read: a border face lies between two zero nodes, so
@@ -222,12 +227,13 @@ class FluxKernel:
     divergence() read them, and implicit_matrix() reads the last mobility.
     Every result is a view of the kernel's own arrays and the next call
     that computes it overwrites it, so a caller that keeps a result copies
-    it.
+    it.  node_range() hands a caller the contiguous node arrays behind
+    nodal_magnitude() and divergence(), to compute on as the kernel does.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._spacing = grid.spacing
+        self._inverse = [1.0 / h for h in grid.spacing]  # 1/h per axis
         dim, shape = grid.dim, grid.shape
         padded = tuple(n + 2 for n in shape)
         size = math.prod(padded)
@@ -280,11 +286,11 @@ class FluxKernel:
         self._node_border = border_lanes(node_len, [(0, shape)])
         self._finite = np.empty(node_len, dtype=bool)
 
-        # per axis, the scaled centred difference d[k] = (u[n + s] - u[n - s]) / 4h
+        # per axis, the scaled centred difference d[k] = (u[n + s] - u[n - s]) * (1/4h)
         # of node n = k + s: every node whose two neighbours along the axis are stored
         self._differences = [
-            (state[2 * s :], state[: size - 2 * s], d, 4.0 * h)
-            for d, s, h in zip(scaled, strides, self._spacing)
+            (state[2 * s :], state[: size - 2 * s], d, 1.0 / (4.0 * h))
+            for d, s, h in zip(scaled, strides, grid.spacing)
         ]
 
         def shifted(axis: int, offset: int) -> np.ndarray:
@@ -313,21 +319,21 @@ class FluxKernel:
         self._flux_halves = [(f[s : s + node_len], f[:node_len]) for f, s in zip(self._face_work, strides)]
 
     def load(self, values: np.ndarray) -> None:
-        """Face components of a state: grad = (u+ - u-)/h, mag2 = grad^2 + tangential^2.
+        """Face components of a state: grad = (u+ - u-) * (1/h), mag2 = grad^2 + tangential^2.
 
         The tangential term of a face along another axis b is
-        d_b(below) + d_b(above), with d_b = (u(x + h_b) - u(x - h_b)) / 4h_b at
-        the two nodes x beside the face: the average of their centred
-        differences, each divided by 2h_b.  Each d_b is formed once per state,
-        with its one division, and nodal_magnitude() reuses it.
+        d_b(below) + d_b(above), with d_b = (u(x + h_b) - u(x - h_b)) * (1/4h_b)
+        at the two nodes x beside the face: the average of their centred
+        differences over 2h_b.  Each d_b is formed once per state, with its
+        one product, and nodal_magnitude() reuses it.
         """
         self._interior[...] = values
-        for hi, lo, d, scale in self._differences:
+        for hi, lo, d, inverse in self._differences:
             np.subtract(hi, lo, out=d)
-            np.divide(d, scale, out=d)
-        for (hi, lo, _), g, h in zip(self._stencils, self._grad, self._spacing):
+            np.multiply(d, inverse, out=d)
+        for (hi, lo, _), g, inverse in zip(self._stencils, self._grad, self._inverse):
             np.subtract(hi, lo, out=g)
-            np.divide(g, h, out=g)
+            np.multiply(g, inverse, out=g)
         grad, mag2, _, tan = self._face_arrays
         np.multiply(grad, grad, out=mag2)
         for k in range(self.grid.dim - 1):  # the k-th other axis of every axis
@@ -337,16 +343,27 @@ class FluxKernel:
             np.add(mag2, tan, out=mag2)
 
     def mobility(self, coeff: CoefficientField, p: float, eps_reg: float, t: float) -> list:
-        """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces; eps_reg must be >= 0."""
+        """Per axis: A(t) (eps^2 + |grad u|^2)^((p-2)/2) on that axis's faces; eps_reg must be >= 0.
+
+        The power x^e is _power's for e in POW_FREE, else exp(e log x): within
+        (|e log x| + 2) eps of pow, relative, at three quarters of its cost,
+        and pow's 0 or inf, without a warning, for x = 0 or inf or an overflow.
+        """
         if not eps_reg >= 0.0:  # NaN fails it too
             raise ValueError(f"eps_reg must be >= 0, got {eps_reg}")
         _, mag2, mob, _ = self._face_arrays
+        e = (p - 2.0) / 2.0
         with np.errstate(divide="ignore", over="ignore"):
             if p == 2.0:
                 mob.fill(1.0)
             else:
                 np.add(mag2, eps_reg * eps_reg, out=mob)
-                _power(mob, (p - 2.0) / 2.0, out=mob)
+                if e in POW_FREE:
+                    _power(mob, e, out=mob)
+                else:
+                    np.log(mob, out=mob)
+                    np.multiply(mob, e, out=mob)
+                    np.exp(mob, out=mob)
         if coeff.kind != "identity":
             for axis, faces in enumerate(self._mob_faces):
                 np.multiply(coeff.face_values(self.grid, axis, t), faces, out=faces)
@@ -361,10 +378,11 @@ class FluxKernel:
     def nodal_magnitude(self) -> np.ndarray:
         """Nodal |grad u| = 2 sqrt(sum over axes of d_a^2), d_a from load().
 
-        That is sqrt(sum of (c_a / 2h_a)^2) for the centred differences c_a,
-        bit for bit: 2 d_a is c_a / 2h_a exactly, and scaling by 2 commutes
-        with the rounding of the squares, their sum and the root (short of
-        underflow and overflow).
+        That is sqrt(sum of (c_a * (1/2h_a))^2) for the centred differences
+        c_a, bit for bit: 1/4h_a is half of 1/2h_a exactly, so 2 d_a is
+        c_a * (1/2h_a) exactly, and scaling by 2 commutes with the rounding
+        of the squares, their sum and the root (short of underflow and
+        overflow).
         """
         out = self._nodal
         for axis, d in enumerate(self._scaled_nodes):
@@ -391,7 +409,7 @@ class FluxKernel:
             for axis, (hi, lo) in enumerate(self._flux_halves):
                 part = div if axis == 0 else self._node_work
                 np.subtract(hi, lo, out=part)
-                np.divide(part, self._spacing[axis], out=part)
+                np.multiply(part, self._inverse[axis], out=part)
                 if axis > 0:
                     np.add(div, part, out=div)
         div[self._node_border] = 0.0
@@ -402,10 +420,20 @@ class FluxKernel:
             )
         return self._div_nodes
 
+    def node_range(self) -> tuple:
+        """(|grad u|, divergence, work, work's real nodes) over the contiguous node range.
+
+        The first two hold the last nodal_magnitude() and divergence() (border
+        lanes zeroed by max_nodal_magnitude() and divergence()); work is the
+        caller's until the next nodal_magnitude(), divergence() or implicit_matrix().
+        """
+        work = self._node_work
+        return self._nodal, self._div, work, np.ndarray(self.grid.shape, buffer=work, strides=self._div_nodes.strides)
+
     def implicit_matrix(self, dt: float) -> tuple:
         """evolve._ImplicitStencil's (diag, upper) at dt for the last mobility(); overwrites the flux."""
         shape, diag, node_strides, upper = self.grid.shape, self._node_work, self._div_nodes.strides, []
-        for axis, h in enumerate(self._spacing):  # dt mob / h^2 over the axis's faces, into the work array
+        for axis, h in enumerate(self.grid.spacing):  # dt mob / h^2 over the axis's faces, into the work array
             np.multiply(self._mob[axis], dt / (h * h), out=self._face_work[axis])
             hi, lo = self._flux_halves[axis]
             np.add(diag if axis else 1.0, lo, out=diag)  # 1 + lower + upper face, axis by axis

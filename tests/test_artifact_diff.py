@@ -1,6 +1,7 @@
 """tools/artifact_diff.py's deviation reports, on hand-written files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,3 +32,22 @@ def test_snapshot_deviation_in_1d_and_on_other_nodes(tmp_path):
     assert artifact_diff.snapshot_deviation(old, new) == "1 of 1 values differ; value 2.000e+00 at node (i) = (1)"
     moved = _write(tmp_path / "moved.csv", ["i,x,value", "1,0.25,3.0"])
     assert artifact_diff.snapshot_deviation(old, moved) == "the nodes differ (1 rows -> 1)"
+
+
+def test_metadata_deviation_lists_the_run_keys_that_differ(tmp_path):
+    run = {"sigma_eff": 2.0, "final_time": 0.5, "steps_accepted": 299, "steps_rejected": 0,
+           "extinction_time": 0.25, "blow_up_time": None}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"config": {"p": 1.8}, "run": run}))
+    new = tmp_path / "new.json"
+    new.write_text(json.dumps({"config": {"p": 1.8}, "run": {**run, "steps_accepted": 301, "extinction_time": None,
+                                                            "blow_up_time": 0.125}}))
+    assert artifact_diff.metadata_deviation(old, new) == (
+        "run.steps_accepted 299 -> 301; run.extinction_time 0.25 -> null; run.blow_up_time null -> 0.125"
+    )
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps({"config": {"p": 1.9}, "run": {k: v for k, v in run.items() if k != "final_time"}}))
+    assert artifact_diff.metadata_deviation(old, moved) == "run.final_time 0.5 -> absent; also differing: config"
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text(json.dumps({"config": {"p": 1.8}, "run": run}, indent=2))
+    assert artifact_diff.metadata_deviation(old, spaced) == "the same values, written differently"

@@ -482,8 +482,8 @@ stepper = "imex"
 
 
 def test_simulate_imex_halvings_run_out_exit(tmp_path, capsys):
-    # every IMEX attempt meets a flat face of infinite mobility; once the
-    # halvings run out the step fails, which is not a usage error
+    # the datum has a flat face of infinite mobility, which no dt mends: the
+    # first IMEX attempt fails the step, which is not a usage error
     cfg = write_cfg(tmp_path, HALVINGS_CFG)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_BLOWUP
     assert capsys.readouterr().err.startswith("stepping failure: implicit solve produced non-finite values")

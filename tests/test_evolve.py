@@ -1162,7 +1162,25 @@ def test_a_bounded_datum_above_1e3_runs_to_t_end(stepper):
 
 
 def test_imex_halvings_run_out_as_a_stepping_failure(monkeypatch):
-    # p < 2 with eps_reg = 0: a flat face has infinite mobility, so every attempt fails
+    # a step that never converges, whatever dt: each retry halves dt until they run out
+    s = _scenario(grid=Grid((8, 8), (1.0, 1.0)), dt_init=1e-3, stepper="imex")
+    attempts = []
+
+    def failing_step(fld, dt, *args, **kwargs):
+        attempts.append(dt)
+        raise NonConvergenceError("stub: no convergence")
+
+    monkeypatch.setattr(evolve, "step_imex", failing_step)
+    with pytest.raises(NonConvergenceError, match="stub: no convergence"):
+        run(s)
+    # the first step is capped at the first sample time; each retry halves it
+    assert len(attempts) == evolve.IMEX_MAX_HALVINGS + 1 == 21
+    assert attempts == [1e-4 * s.t_end * 0.5**k for k in range(21)]
+
+
+def test_imex_rejects_a_degenerate_datum_without_halving(monkeypatch):
+    # p < 2 with eps_reg = 0: a flat face of the datum has infinite mobility,
+    # and its flux divergence is not finite at any dt; that used to take 21 attempts
     s = _scenario(
         params=ProblemParams(p=1.5, q=1.0, dim_n=3),
         grid=Grid((8, 8), (1.0, 1.0)),
@@ -1171,18 +1189,22 @@ def test_imex_halvings_run_out_as_a_stepping_failure(monkeypatch):
         dt_init=1e-3,
         stepper="imex",
     )
-    attempts, real_step = [], evolve.step_imex
+    attempts, evaluations = [], []
+    real_step, real_divergence = evolve.step_imex, FluxKernel.divergence
 
     def counting_step(fld, dt, *args, **kwargs):
         attempts.append(dt)
         return real_step(fld, dt, *args, **kwargs)
 
+    def counting_divergence(kernel):
+        evaluations.append(1)
+        return real_divergence(kernel)
+
     monkeypatch.setattr(evolve, "step_imex", counting_step)
-    with pytest.raises(NonConvergenceError, match="non-finite"):
+    monkeypatch.setattr(FluxKernel, "divergence", counting_divergence)
+    with pytest.raises(NonConvergenceError, match="non-finite values .* at the datum itself"):
         run(s)
-    # the first step is capped at the first sample time; each retry halves it
-    assert len(attempts) == evolve.IMEX_MAX_HALVINGS + 1 == 21
-    assert attempts == [1e-4 * s.t_end * 0.5**k for k in range(21)]
+    assert attempts == [1e-4 * s.t_end] and len(evaluations) == 1
 
 
 def test_overflow_exception_payload():

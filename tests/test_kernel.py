@@ -3,15 +3,18 @@
 The reference below is the operator written out with a padded copy per
 call: face components, mobility, divergence and nodal |grad u| as fresh
 arrays, each written out separately for 1D and 2D, and the implicit matrix
-assembled the same way.  Like the kernel, it forms the tangential term of a
-face as the sum of the centred differences u(n + 1) - u(n - 1), each
-divided by 4h, of the face's two nodes.  Its nodal |grad u| is the root of
-the summed squares of the centred differences divided by 2h, which the
-kernel's 2 sqrt(sum of (difference / 4h)^2) equals bit for bit.  The kernel
-and the stencil must give the same bits, so every comparison is
-np.array_equal, not a tolerance.  One property also holds the kernel to
-the formulas it replaced, the four-corner tangential term and the average
-of the face gradients, at a pinned relative bound.
+assembled the same way.  Like the kernel, it multiplies by 1/h, 1/(2h) and
+1/(4h) where the formulas divide, and takes the mobility power as
+exp(e log x) for an e outside POW_FREE.  Like the kernel, it forms the
+tangential term of a face as the sum of the centred differences
+u(n + 1) - u(n - 1), each times 1/(4h), of the face's two nodes.  Its nodal
+|grad u| is the root of the summed squares of the centred differences times
+1/(2h), which the kernel's 2 sqrt(sum of (difference * (1/4h))^2) equals bit
+for bit.  The kernel and the stencil must give the same bits, so every
+comparison is np.array_equal, not a tolerance.  Two properties also hold the
+kernel to the formulas it replaced at bounds pinned from float64's epsilon:
+the four-corner tangential term and the average of the face gradients, and
+the divisions by h and numpy's pow.
 """
 
 import math
@@ -43,6 +46,7 @@ from decaylab.evolve import (
     step_imex,
 )
 from decaylab.field import (
+    POW_FREE,
     CoefficientField,
     FluxKernel,
     Grid,
@@ -63,15 +67,15 @@ def ref_face_components(values, spacing):
     p = np.pad(values, 1)
     if values.ndim == 1:
         (h,) = spacing
-        g = (p[1:] - p[:-1]) / h
+        g = (p[1:] - p[:-1]) * (1.0 / h)
         return [(g, g * g)]
     hx, hy = spacing
-    # the centred differences over 4h of every padded node with both neighbours
-    dx = (p[2:, :] - p[:-2, :]) / (4.0 * hx)
-    dy = (p[:, 2:] - p[:, :-2]) / (4.0 * hy)
-    gx = (p[1:, 1:-1] - p[:-1, 1:-1]) / hx
+    # the centred differences times 1/(4h) of every padded node with both neighbours
+    dx = (p[2:, :] - p[:-2, :]) * (1.0 / (4.0 * hx))
+    dy = (p[:, 2:] - p[:, :-2]) * (1.0 / (4.0 * hy))
+    gx = (p[1:, 1:-1] - p[:-1, 1:-1]) * (1.0 / hx)
     tx = dy[:-1] + dy[1:]
-    gy = (p[1:-1, 1:] - p[1:-1, :-1]) / hy
+    gy = (p[1:-1, 1:] - p[1:-1, :-1]) * (1.0 / hy)
     ty = dx[:, :-1] + dx[:, 1:]
     return [(gx, gx * gx + tx * tx), (gy, gy * gy + ty * ty)]
 
@@ -87,11 +91,19 @@ def ref_power(x, e):
     return x**e
 
 
+def ref_mobility_power(x, e):
+    """x ** e as the mobility takes it: _power's formula for e in POW_FREE, exp(e log x) otherwise."""
+    if e in POW_FREE:
+        return ref_power(x, e)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(e * np.log(x))
+
+
 def ref_diffusivity(mag2, p, eps_reg):
     if p == 2.0:
         return np.ones_like(mag2)
     with np.errstate(divide="ignore"):
-        return ref_power(eps_reg * eps_reg + mag2, (p - 2.0) / 2.0)
+        return ref_mobility_power(eps_reg * eps_reg + mag2, (p - 2.0) / 2.0)
 
 
 def ref_face_mobility(comps, grid, coeff, p, eps_reg, t):
@@ -107,7 +119,7 @@ def ref_divergence(comps, mobility, grid):
     for axis, ((g, _), m) in enumerate(zip(comps, mobility)):
         with np.errstate(invalid="ignore"):
             flux = m * g
-        div += np.diff(flux, axis=axis) / grid.spacing[axis]
+        div += np.diff(flux, axis=axis) * (1.0 / grid.spacing[axis])
     if not np.all(np.isfinite(div)):
         raise ValueError("non-finite flux divergence")
     return div
@@ -121,7 +133,7 @@ def ref_nodal_magnitude(values, spacing):
         hi = [slice(1, -1)] * p.ndim
         lo[axis] = slice(0, -2)
         hi[axis] = slice(2, None)
-        half = (p[tuple(hi)] - p[tuple(lo)]) / (2.0 * h)
+        half = (p[tuple(hi)] - p[tuple(lo)]) * (1.0 / (2.0 * h))
         parts.append(half * half)
     return np.sqrt(np.sum(parts, axis=0))
 
@@ -330,9 +342,11 @@ def _scaled_deviation(got, want) -> float:
     return float(np.max(np.abs(got - want))) / scale
 
 
-# over this property's examples the largest deviation measured was 3.9e-16
-# for mag2, 7.5e-16 for the mobility, 4.0e-16 for the nodal |grad u| and
-# 2.8e-16 for the divergence; a wrong offset or divisor moves them by O(1)
+# over 10,000 random cases drawn like this property's examples the largest
+# deviation measured was 8.0e-16 for mag2, 1.9e-15 for the mobility, 1.9e-15
+# for the nodal |grad u| and 2.1e-15 for the divergence (9.6e-16, 1.6e-15,
+# 1.9e-15 and 4.2e-16 while the kernel divided by h and took pow); a wrong
+# offset or divisor moves them by O(1)
 OLD_FORMULA_RTOL = 4e-15
 
 
@@ -361,6 +375,80 @@ def test_kernel_matches_the_four_corner_formulas(shape, length, aspect, seed, p,
                           ref_divergence(comps, want_mobility, grid)),
     ]
     assert max(deviations) <= OLD_FORMULA_RTOL
+
+
+# The kernel against the divisions by h and numpy's pow it replaced.  Each
+# bound is fixed from float64's eps, before running, by counting roundings;
+# the largest share of it measured over 51,000 random cases drawn like this
+# property's examples is in the comment beside it.
+EPS = float(np.finfo(float).eps)
+# exp(e log x) against pow(x, e) on the same base x: the rounding of log x
+# grows by e log x through the exponent, and log, the product, exp and pow
+# round once each; at most 0.88 of (|e log x| + 2) eps measured
+MOBILITY_ULPS = 2.0
+# (u+ - u-) * fl(1/h) against (u+ - u-) / h: fl(1/h) and the product round
+# once each, the quotient once, relative to the gradient; at most 0.50 measured
+GRADIENT_ULPS = 2.0
+# the flux difference over a face pair cancels, so the divergence's deviation
+# is relative to max |flux| / h per axis: each flux carries its gradient's
+# roundings and its product's, and the difference, the product with 1/h and
+# the sum over the axes round again; at most 0.44 measured
+DIVERGENCE_ULPS = 12.0
+
+
+def _signed_wide(shape, seed):
+    """Signed values of magnitude 1e-8 to 1e4, so |grad u|^2 spans about 1e-16 to 1e12."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 4.0, size=shape)
+
+
+@settings(max_examples=300)
+@given(
+    shape=_SHAPES,
+    length=st.floats(0.5, 2.0),
+    aspect=st.floats(1.1, 3.0),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**16),
+    p=st.one_of(st.floats(1.1, 7.0), st.sampled_from([3.0, 4.0, 5.0, 6.0])),
+    eps_reg=st.one_of(st.just(0.0), st.floats(1e-8, 1e-1)),
+)
+def test_kernel_is_within_its_bounds_of_division_and_pow(shape, length, aspect, wide, seed, p, eps_reg):
+    grid = Grid(shape, (length, length * aspect)[: len(shape)])
+    values = _signed_wide(shape, seed) if wide else _data(shape, "signed", seed)
+    fld = ScalarField(grid, values)
+    padded = np.pad(values, 1)
+
+    # face gradients: relative to each gradient
+    old_grad = [np.diff(padded, axis=a)[tuple(slice(None) if b == a else slice(1, -1) for b in range(grid.dim))] / h
+                for a, h in enumerate(grid.spacing)]
+    for got, want in zip(gradient(fld), old_grad):
+        assert np.all(np.abs(got - want) <= GRADIENT_ULPS * EPS * np.abs(want))
+
+    # the mobility power of the kernel's own base x = eps^2 + mag2 against pow
+    e = (p - 2.0) / 2.0
+    bases = [eps_reg * eps_reg + m2 for m2 in face_diffusivities(fld, 4.0, 0.0)]  # e = 1 copies mag2
+    mobility = face_diffusivities(fld, p, eps_reg)
+    for got, x in zip(mobility, bases):
+        with np.errstate(divide="ignore", over="ignore"):
+            want, log_x = np.power(x, e), np.log(x)
+        exact = got == want  # 0, inf and overflow give pow's value
+        finite = ~exact & (x > 0.0) & np.isfinite(want)
+        assert np.all(exact | finite)
+        bound = (np.abs(e * log_x[finite]) + MOBILITY_ULPS) * EPS * np.abs(want[finite])
+        assert np.all(np.abs(got[finite] - want[finite]) <= bound)
+
+    # the divergence of the kernel's mobility, with the gradients and the flux
+    # differences divided by h: relative to max |flux| / h, summed over the axes
+    try:
+        got = p_flux_divergence(fld, CoefficientField(), p, eps_reg).values
+    except ValueError:  # a degenerate face: the old formulas are not finite either
+        with np.errstate(invalid="ignore"):
+            assert not all(np.all(np.isfinite(m * g)) for m, g in zip(mobility, old_grad))
+        return
+    fluxes = [m * g for m, g in zip(mobility, old_grad)]
+    want = sum(np.diff(f, axis=a) / h for a, (f, h) in enumerate(zip(fluxes, grid.spacing)))
+    scale = sum(float(np.max(np.abs(f))) / h for f, h in zip(fluxes, grid.spacing))
+    assert np.all(np.abs(got - want) <= DIVERGENCE_ULPS * EPS * scale)
 
 
 def test_border_lanes_never_reach_a_result():

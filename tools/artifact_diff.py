@@ -38,6 +38,10 @@ where it occurs, worst first, so a shared column left out agrees on every
 row both files have; columns only one file has are named.  For each snapshot
 CSV that differs, the value column's largest relative deviation is listed
 with the node where it first occurs and the count of values that differ.
+For each metadata.json that differs, every key of its `run` block that
+differs is listed, old -> new (steps_accepted, steps_rejected,
+extinction_time, blow_up_time and final_time among them), and so is every
+other top-level block that differs.
 Only the standard library is used.  Exit status: 0 when everything is identical, 1
 when anything differs, 2 on a usage error.
 """
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import re
@@ -235,6 +240,23 @@ def snapshot_deviation(old: Path, new: Path) -> str:
     return f"{differing} of {len(rows_a)} values differ; value {worst:.3e} at node {where}"
 
 
+def metadata_deviation(old: Path, new: Path) -> str:
+    """The keys of two metadata.json files' run blocks that differ, old -> new, and the
+    other top-level blocks that differ."""
+    meta_a, meta_b = json.loads(old.read_text()), json.loads(new.read_text())
+    run_a, run_b = meta_a.get("run", {}), meta_b.get("run", {})
+
+    def shown(block: dict, key: str) -> str:
+        return json.dumps(block[key]) if key in block else "absent"
+
+    keys = [k for k in dict.fromkeys([*run_a, *run_b]) if shown(run_a, k) != shown(run_b, k)]
+    listed = [f"run.{k} {shown(run_a, k)} -> {shown(run_b, k)}" for k in keys]
+    blocks = [k for k in dict.fromkeys([*meta_a, *meta_b]) if k != "run" and shown(meta_a, k) != shown(meta_b, k)]
+    if blocks:
+        listed.append(f"also differing: {', '.join(blocks)}")
+    return "; ".join(listed) or "the same values, written differently"
+
+
 def files(root: Path) -> set:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
@@ -267,6 +289,8 @@ def main(argv=None) -> int:
                     differ[-1] += f": {series_deviation(outs['old'] / rel, outs['new'] / rel)}"
                 elif rel.name.startswith("snapshot_") and rel.suffix == ".csv":
                     differ[-1] += f": {snapshot_deviation(outs['old'] / rel, outs['new'] / rel)}"
+                elif rel.name == "metadata.json":
+                    differ[-1] += f": {metadata_deviation(outs['old'] / rel, outs['new'] / rel)}"
         for line in differ:
             print(line)
         print(f"{len(old_files | new_files)} files compared, {len(differ)} differences")

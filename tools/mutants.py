@@ -49,8 +49,15 @@ MUTANTS = (
     Mutant("imex_rtol_1e-5", "evolve.py", "IMEX_RTOL = 1e-10", "IMEX_RTOL = 1e-5"),
     Mutant("extinction_tol_1e-6", "evolve.py", "tol = 1e-9 * float(linf[0])", "tol = 1e-6 * float(linf[0])"),
     Mutant("overflow_sentinel_1e3", "evolve.py", "OVERFLOW_SENTINEL = 1e12", "OVERFLOW_SENTINEL = 1e3"),
-    Mutant("halving_never_raises", "evolve.py", "if halvings == IMEX_MAX_HALVINGS:",
-           "if halvings == IMEX_MAX_HALVINGS + 1:"),
+    Mutant("halving_never_raises", "evolve.py", "if halvings == IMEX_MAX_HALVINGS or",
+           "if halvings == IMEX_MAX_HALVINGS + 1 or"),
+    Mutant("datum_failure_halves", "evolve.py", "or isinstance(exc, _DatumFailure):", "or False:"),
+    Mutant("datum_failure_never_raised", "evolve.py", "if x is fld.values:", "if False:"),
+    # the operator's constants
+    Mutant("inverse_h_halved", "field.py", "[1.0 / h for h in grid.spacing]", "[0.5 / h for h in grid.spacing]"),
+    Mutant("quarter_h_as_half_h", "field.py", "1.0 / (4.0 * h)", "1.0 / (2.0 * h)"),
+    Mutant("mobility_exponent_doubled", "field.py", "np.multiply(mob, e, out=mob)",
+           "np.multiply(mob, 2.0 * e, out=mob)"),
     # exponent formulas
     Mutant("lambda_rate_beta_p_minus_1", "regime.py", "/ beta**p", "/ beta**(p - 1.0)"),
     Mutant("lambda_rate_measure_exp_halved", "regime.py",

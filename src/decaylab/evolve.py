@@ -1,11 +1,17 @@
 """Initial data, explicit/IMEX time steppers and the adaptive simulation loop.
 
 _ExplicitStepper, which also serves stable_dt and step_explicit, uses a
-diffusive CFL bound on the face mobility (coefficient times regularized
-diffusivity) plus a source cap keeping each source increment below a tenth of
-the current sup norm.  _ImexStepper runs step_imex, which treats diffusion
-implicitly (lagged diffusivity fixed point) and the gradient source
-explicitly.  spsolve solves each sweep's matrix, which
+diffusive CFL bound on the face mobility m (coefficient times regularized
+diffusivity), scaled by the flux's own stiffness kappa(p) = max(1, p - 1),
+plus a source cap keeping each source increment below a tenth of the current
+sup norm.  The flux Jacobian m (I + (p - 2) theta n n^T), theta in [0, 1),
+has its largest eigenvalue at most kappa(p) m, and the step
+dt = CFL_SAFETY h_min^2 / (2 dim kappa(p) max m) keeps dt sum_f m_f / h_f^2 at
+or below CFL_SAFETY / kappa(p) <= 0.8 at every node.  A step with that sum at
+most 1 sets each node, at gamma = 0, to a convex combination of its own value
+and its neighbours' values, so it makes no new extrema.  _ImexStepper runs
+step_imex, which treats diffusion implicitly (lagged diffusivity fixed point)
+and the gradient source explicitly.  spsolve solves each sweep's matrix, which
 FluxKernel.implicit_matrix assembles, by conjugate gradients preconditioned
 with a banded Cholesky factor, which _ImexStepper holds from step to step
 (with one FluxKernel for the run; step_imex gets both as its stepper).
@@ -55,7 +61,7 @@ from .regime import ProblemParams, classify
 DEFAULT_EPS_DEGENERATE = 1e-8  # p >= 2
 DEFAULT_EPS_SINGULAR = 1e-4  # p < 2
 OVERFLOW_SENTINEL = 1e12
-CFL_SAFETY = 0.4
+CFL_SAFETY = 0.8  # of the monotone budget dt sum_f m_f / h_f^2 <= 1
 SOURCE_CAP_FRACTION = 0.1
 U_FLOOR = 1e-12
 IMEX_MAX_ITER = 200
@@ -294,8 +300,10 @@ class _ExplicitStepper:
     """Forward Euler steps of one problem on one grid, in one FluxKernel's arrays.
 
     prepare(values, t) loads a state and returns its stable dt: the diffusive
-    CFL bound with safety 0.4 on the face mobility A(t) D, capped so that the
-    source adds at most a tenth of the sup norm in one step.  update(dt) then
+    CFL bound CFL_SAFETY h_min^2 / (2 dim kappa(p) max A(t) D) on the face
+    mobility A(t) D, with kappa(p) = max(1, p - 1), capped so that the source
+    adds at most a tenth of the sup norm in one step.  At gamma = 0 the step
+    is a convex combination of each node and its neighbours.  update(dt) then
     returns the stepped state, a new array, and its sup norm, forming
     dt * rhs over the kernel's contiguous node range.  advance(u, t, dt_max)
     is one step of run(): at the stable dt, or dt_max when that is smaller,
@@ -310,7 +318,8 @@ class _ExplicitStepper:
         self.kernel = FluxKernel(grid)
         self.params, self.coeff, self.eps_reg = params, coeff, eps_reg
         h_min = min(grid.spacing)
-        self._cfl = (CFL_SAFETY * h_min * h_min, 2.0 * grid.dim)
+        kappa = max(1.0, params.p - 1.0)  # the flux Jacobian's largest eigenvalue over the mobility
+        self._cfl = (CFL_SAFETY * h_min * h_min, 2.0 * grid.dim * kappa)
         self._node_range = self.kernel.node_range()
         self._abs = _aligned_buffers([math.prod(grid.shape)])[0].reshape(grid.shape)
         self._values, self._t = None, 0.0
@@ -324,8 +333,8 @@ class _ExplicitStepper:
         self._values, self._t = values, t
         max_m = kernel.max_mobility()
         if max_m > 0.0:
-            numerator, two_dim = self._cfl
-            stable = numerator / (two_dim * max_m)
+            numerator, denominator = self._cfl
+            stable = numerator / (denominator * max_m)
         else:
             stable = float("inf")
         if params.gamma > 0.0:
@@ -375,8 +384,11 @@ def stable_dt(
     eps_reg: float = 0.0,
     t: float = 0.0,
 ) -> float:
-    """Explicit step bound: diffusive CFL on A(t) D with safety 0.4 plus a source cap;
-    0.0 where A(t) D overflows to inf, which run() reports as a collapsed step."""
+    """Explicit step bound: CFL_SAFETY h_min^2 / (2 dim kappa(p) max A(t) D), kappa(p) = max(1, p - 1),
+    plus a source cap; 0.0 where A(t) D overflows to inf, which run() reports as a collapsed step.
+
+    At gamma = 0 a step of this dt sets each node to a convex combination of
+    its own value and its neighbours', so it makes no new extrema."""
     return _ExplicitStepper(fld.grid, params, coeff, eps_reg).prepare(fld.values, t)
 
 

@@ -150,7 +150,8 @@ def ref_explicit_step(values, grid, params, coeff, eps_reg, t):
     max_m = max(float(np.max(m, initial=0.0)) for m in mobility)
     if max_m > 0.0:
         h_min = min(grid.spacing)
-        stable = CFL_SAFETY * h_min * h_min / (2.0 * grid.dim * max_m)
+        kappa = max(1.0, params.p - 1.0)
+        stable = CFL_SAFETY * h_min * h_min / (2.0 * grid.dim * kappa * max_m)
     else:
         stable = float("inf")
     if params.gamma > 0.0:

@@ -53,6 +53,11 @@ MUTANTS = (
            "if halvings == IMEX_MAX_HALVINGS + 1 or"),
     Mutant("datum_failure_halves", "evolve.py", "or isinstance(exc, _DatumFailure):", "or False:"),
     Mutant("datum_failure_never_raised", "evolve.py", "if x is fld.values:", "if False:"),
+    # killed by tests/test_evolve.py::test_stable_dt_divides_by_the_flux_stiffness
+    Mutant("cfl_kappa_dropped", "evolve.py", "max(1.0, params.p - 1.0)", "1.0"),
+    # killed first by tests/test_acceptance.py::test_c3_heat_baseline_rate, then by
+    # tests/test_evolve.py::test_stable_dt_frozen_heat and the no-new-extrema property
+    Mutant("cfl_safety_doubled", "evolve.py", "CFL_SAFETY = 0.8", "CFL_SAFETY = 1.6"),
     # the operator's constants
     Mutant("inverse_h_halved", "field.py", "[1.0 / h for h in grid.spacing]", "[0.5 / h for h in grid.spacing]"),
     Mutant("quarter_h_as_half_h", "field.py", "1.0 / (4.0 * h)", "1.0 / (2.0 * h)"),

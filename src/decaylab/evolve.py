@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
@@ -103,7 +104,8 @@ class InitialSpec:
     kind "power_spike": amplitude * min(cap, |x - center|^(-decay_exponent)),
         with decay_exponent required to lie in (dim/nu_prime, dim/nu) so the
         datum is summable to order nu but not nu_prime (nu_prime > nu).
-    kind "random_positive": iid uniform(0, amplitude), seeded.
+    kind "random_positive": amplitude * random.Random(seed).random() per node in C
+        order, iid uniform on [0, amplitude); Python keeps this stream across versions.
     kind "file": snapshot CSV from path.
     """
 
@@ -134,7 +136,10 @@ class InitialSpec:
 def make_initial(
     spec: InitialSpec, grid: Grid, params: Optional[ProblemParams] = None, seed: int = 0
 ) -> ScalarField:
-    """Realize an InitialSpec on a grid (deterministic given the seed)."""
+    """Realize an InitialSpec on a grid (deterministic given the seed, an integer >= 0)."""
+    seed = _typed(seed, "int", "seed")
+    if seed < 0:  # random.Random seeds with abs(seed): -5 would draw the datum of 5
+        raise ValueError(f"seed must be >= 0, got {seed}")
     mesh = grid.node_mesh()
     center = spec.center
     if center is None:
@@ -180,8 +185,9 @@ def make_initial(
         with np.errstate(divide="ignore"):
             values = spec.amplitude * np.minimum(spec.cap, r2 ** (-a / 2.0))
     elif spec.kind == "random_positive":
-        rng = np.random.default_rng(seed)
-        values = rng.uniform(0.0, spec.amplitude, size=grid.shape)
+        draw = random.Random(seed).random
+        uniforms = np.array([draw() for _ in range(math.prod(grid.shape))])
+        values = spec.amplitude * uniforms.reshape(grid.shape)
     else:  # file
         if spec.path is None:
             raise ValueError("file initial needs a path")
@@ -238,7 +244,7 @@ class Scenario:
             raise ValueError(f"eps_reg must be finite and >= 0, got {self.eps_reg}")
         if self.sigma is not None and not 1.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 1, got {self.sigma}")
-        if self.seed < 0:  # numpy's generators take no negative seed
+        if self.seed < 0:  # random.Random seeds with abs(seed): -5 would draw the datum of 5
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # two values with one label would share a series column or a snapshot
         # file; the order 1 is always recorded, as l1

@@ -726,7 +726,7 @@ def test_non_numeric_float_field_names_the_field(cls, name):
 BAD_INTEGERS = [
     (ProblemParams, "dim_n", "3"),  # TypeError: '>=' not supported, naming no field
     (Scenario, "seed", None),  # two random_positive runs started from different data
-    (Scenario, "seed", "abc"),  # failed only inside run(), in numpy's SeedSequence
+    (Scenario, "seed", "abc"),  # random.Random would take it as a string seed
     (Scenario, "seed", 1.5),
 ]
 

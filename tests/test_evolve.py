@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -76,6 +77,30 @@ def test_make_initial_kinds():
     assert np.array_equal(rnd1.values, rnd2.values)
     assert not np.array_equal(rnd1.values, rnd3.values)
     assert np.all((rnd1.values >= 0.0) & (rnd1.values <= 0.5))
+
+
+def test_random_positive_is_the_stdlib_stream_in_c_order():
+    # amplitude * random.Random(seed).random() node by node in C order, bit for bit;
+    # Python keeps Random(seed)'s stream across versions, so the first draw is pinned
+    g = Grid((3, 5), (1.0, 2.0))
+    fld = make_initial(InitialSpec(kind="random_positive", amplitude=0.7), g, seed=11)
+    draw = random.Random(11).random
+    assert fld.values.dtype == np.float64
+    assert fld.values.tolist() == [[0.7 * draw() for _ in range(5)] for _ in range(3)]
+    assert fld.values[0, 0] == 0.7 * 0.4523795535098186
+    assert np.all((fld.values >= 0.0) & (fld.values < 0.7))
+
+
+def test_make_initial_rejects_a_negative_seed():
+    # random.Random(-5) is Random(5): without the check seeds -5 and 5 draw one datum
+    g = Grid((4,), (1.0,))
+    spec = InitialSpec(kind="random_positive")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        make_initial(spec, g, seed=-5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        make_initial(spec, g, seed=1.5)
+    five = make_initial(spec, g, seed=5).values
+    assert np.array_equal(make_initial(spec, g, seed=np.int64(5)).values, five)
 
 
 def test_make_initial_power_spike_window():
@@ -762,6 +787,16 @@ def test_step_imex_fails_only_as_a_stepping_failure(shape, p, eps_reg, dt, gamma
         pass
 
 
+def test_the_random_positive_example_overflows_at_its_datum():
+    # the random_positive @example above still reaches the path it was added for:
+    # its datum's own fluxes overflow, a _DatumFailure that no dt mends
+    grid = Grid((7, 11), (1.0, 1.0))
+    u0 = make_initial(InitialSpec(kind="random_positive", amplitude=448834954262.2181), grid, seed=16322)
+    params = ProblemParams(p=25.852579952439644, q=1.0, dim_n=3, gamma=0.0)
+    with np.errstate(all="ignore"), pytest.raises(evolve._DatumFailure, match="non-finite"):
+        step_imex(u0, 0.12764186355386126, params, eps_reg=0.0)
+
+
 COEFFICIENT_BOUNDS = {"identity": (1.0, 1.0), "scalar": (1.0, 1.5), "diagonal": (0.75, 2.5)}
 
 
@@ -872,7 +907,7 @@ NON_FINITE_SCENARIOS = {
     "snapshot_times": ((math.nan,), (0.0, math.nan)),
     "k_levels": ((math.nan,), (math.inf,)),
     "r_list": ((math.nan,), (2.0, math.nan)),
-    "seed": (-1,),  # not non-finite, but numpy's generators reject it without naming the field
+    "seed": (-1,),  # not non-finite, but random.Random(-1) would draw the data of seed 1
 }
 
 

@@ -1,4 +1,4 @@
-"""The CLI loads one scipy extension, and only when an IMEX step runs.
+"""The CLI loads one scipy extension, and only when an IMEX step runs, and never numpy.random.
 
 One fresh interpreter runs `classify`, `predict`, a small explicit `simulate`
 and `verify` on its series through `decaylab.cli.main`, with no scipy module
@@ -7,7 +7,9 @@ the LAPACK wrapper extension `scipy.linalg._flapack`.  `evolve.spsolve`, the
 sweep solve the benchmark times, is decaylab's own, and resolving it loads no
 more.  Two more fresh interpreters import decaylab and `scipy.linalg.lapack`
 in either order and share one set of LAPACK wrappers, as the test suite does
-in its own process.  A scipy directory without the extension makes
+in its own process.  A `random_positive` `simulate` and a one-job `sweep`
+draw their data from the standard library's `random` and never load
+`numpy.random`.  A scipy directory without the extension makes
 `_flapack()` raise ImportError naming that directory.
 """
 
@@ -45,6 +47,31 @@ initial_kind = "bump"
 t_end = 4e-3
 dt_init = 2e-3
 stepper = "imex"
+"""
+
+RANDOM_CFG = """
+p = 2.2
+q = 1.0
+dim_n = 4
+grid_n = [8, 8]
+initial_kind = "random_positive"
+initial_amplitude = 0.5
+t_end = 1e-3
+sweep_gamma = [0.0, 0.05]
+"""
+
+RANDOM_SCRIPT = """
+import sys
+from pathlib import Path
+
+from decaylab import cli
+
+tmp = Path(sys.argv[1])
+config = str(tmp / "random.cfg")
+assert cli.main(["simulate", "--config", config, "--out", str(tmp / "simulate"), "--seed", "3"]) == 0
+assert cli.main(["sweep", "--config", config, "--out", str(tmp / "sweep"), "--jobs", "1"]) == 0
+assert "numpy.random" not in sys.modules
+print("no numpy.random")
 """
 
 SCRIPT = """
@@ -115,6 +142,11 @@ def test_only_an_imex_step_loads_scipy(tmp_path):
     (tmp_path / "explicit.cfg").write_text(EXPLICIT_CFG)
     (tmp_path / "imex.cfg").write_text(IMEX_CFG)
     assert _run(SCRIPT, str(tmp_path)).endswith("import contract ok\n")
+
+
+def test_random_data_leave_numpy_random_unloaded(tmp_path):
+    (tmp_path / "random.cfg").write_text(RANDOM_CFG)
+    assert _run(RANDOM_SCRIPT, str(tmp_path)).endswith("no numpy.random\n")
 
 
 @pytest.mark.parametrize("script", [DECAYLAB_FIRST, SCIPY_FIRST], ids=["decaylab_first", "scipy_first"])

@@ -58,6 +58,9 @@ MUTANTS = (
     # killed first by tests/test_acceptance.py::test_c3_heat_baseline_rate, then by
     # tests/test_evolve.py::test_stable_dt_frozen_heat and the no-new-extrema property
     Mutant("cfl_safety_doubled", "evolve.py", "CFL_SAFETY = 0.8", "CFL_SAFETY = 1.6"),
+    # killed by tests/test_evolve.py::test_random_positive_is_the_stdlib_stream_in_c_order
+    Mutant("random_positive_seed_shifted", "evolve.py", "draw = random.Random(seed).random",
+           "draw = random.Random(seed + 1).random"),
     # the operator's constants
     Mutant("inverse_h_halved", "field.py", "[1.0 / h for h in grid.spacing]", "[0.5 / h for h in grid.spacing]"),
     Mutant("quarter_h_as_half_h", "field.py", "1.0 / (4.0 * h)", "1.0 / (2.0 * h)"),

@@ -13,15 +13,15 @@ and its neighbours' values, so it makes no new extrema.  _ImexStepper runs
 step_imex, which treats diffusion implicitly (lagged diffusivity fixed point)
 and the gradient source explicitly.  spsolve solves each sweep's matrix, which
 FluxKernel.implicit_matrix assembles, by conjugate gradients preconditioned
-with a banded Cholesky factor, which _ImexStepper holds from step to step
-(with one FluxKernel for the run; step_imex gets both as its stepper).
-Every sweep stops CG at IMEX_CG_FORCING times the nonlinear residual of the
-iterate it starts from (an inexact fixed point, after Eisenstat & Walker's
-forcing terms): the next sweep re-linearizes and discards any accuracy
-beyond it, and the step is accepted only once its own residual meets the
-tolerance.  A held factor that cannot reach that stop within
-IMEX_CG_MAX_ITER (2) iterations is stale, and spsolve renews it.  A step's
-first iterate extrapolates the last accepted step,
+with the same matrix at each axis's mean face coupling, which the sine modes
+that _ImexStepper builds once for its grid diagonalize (Concus & Golub's fast
+Poisson preconditioner, SINUM 10, 1973; step_imex gets the modes, and the
+run's one FluxKernel, as its stepper).  Every sweep stops CG at
+IMEX_CG_FORCING times the nonlinear residual of the iterate it starts from
+(an inexact fixed point, after Eisenstat & Walker's forcing terms): the next
+sweep re-linearizes and discards any accuracy beyond it, and the step is
+accepted only once its own residual meets the tolerance.  A step's first
+iterate extrapolates the last accepted step,
 u_n + (dt/dt_prev)(u_n - u_{n-1}), which _ImexStepper also holds.  Each
 stepper's advance(u, t, dt_max) returns the new state and the dt it took;
 run() passes the time left to the next sample and lands on it exactly when
@@ -30,23 +30,12 @@ run() records each sample's row of Scenario.columns, and the state at each
 snapshot time, an early stop's included; it stops on overflow (sup past 1e12)
 or on an optional extinction floor, and returns in RunResult.metadata the
 `run` block of metadata.json, less the RunResult fields and sample count.
-
-The IMEX solver calls LAPACK's dpbtrf and dpbtrs directly.  It takes them
-from scipy's f2py wrapper extension, scipy.linalg._flapack, which _flapack()
-loads from its file on the first IMEX solve.  That extension needs only
-numpy, so the scipy package itself (whose scipy.linalg costs about 0.2 s and
-85 modules to import) is never imported, and a process that takes no IMEX step
-loads nothing of scipy at all.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 import random
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -68,7 +57,7 @@ U_FLOOR = 1e-12
 IMEX_MAX_ITER = 200
 IMEX_MAX_HALVINGS = 20
 IMEX_RTOL = 1e-10
-IMEX_CG_MAX_ITER = 2  # CG iterations per sweep; a factor that needs more is stale and renewed
+IMEX_CG_MAX_ITER = 100  # a fail-safe: a sweep whose CG needs more iterations fails its step
 IMEX_CG_FORCING = 0.1  # each sweep's CG stops at this fraction of its starting iterate's residual
 MAX_SAMPLE_TARGETS = 200000
 
@@ -414,56 +403,19 @@ def step_explicit(
     return ScalarField(fld.grid, step.update(dt)[0])
 
 
-@functools.lru_cache(maxsize=None)
-def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS behind _flapack(), or None."""
-    import ctypes
-
-    try:
-        lib = ctypes.CDLL(_flapack().__file__)
-    except (ImportError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        get = getattr(lib, f"{prefix}_get_num_threads", None)
-        put = getattr(lib, f"{prefix}_set_num_threads", None)
-        if get is not None and put is not None:
-            return get, put
-    return None
-
-
-@contextmanager
-def _single_blas_thread():
-    """Run the enclosed LAPACK calls on one OpenBLAS thread, then restore the count.
-
-    On the bands these grids give, threads only slow the factorization.  On
-    2 vCPUs the c4 factorization took 3.6 ms on one thread and 14 ms on two,
-    and a two-worker IMEX sweep ran 45x slower with two threads per worker
-    than with one.
-    """
-    control = _openblas_threads()
-    if control is None:
-        yield
-        return
-    get, put = control
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 @dataclass(frozen=True)
 class _ImplicitStencil:
     """FluxKernel.implicit_matrix's v -> v - dt * div(D grad v), Dirichlet zeros, nodes in C order.
 
     ``upper`` pairs each axis's C-order stride, in ascending order, with the
     coupling between node k and node k + stride along that axis (zero where
-    k is the last node of its line); the matrix is symmetric.
+    k is the last node of its line); the matrix is symmetric.  ``means``
+    holds, per axis, the mean of dt * D / h^2 over the axis's faces.
     """
 
     diag: np.ndarray
     upper: tuple
+    means: tuple
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
@@ -472,65 +424,35 @@ class _ImplicitStencil:
             out[k:] += c * v[:-k]
         return out
 
-    def banded(self) -> np.ndarray:
-        """LAPACK upper band storage; the bandwidth is the largest offset."""
-        u = self.upper[-1][0]
-        ab = np.zeros((u + 1, self.diag.size), order="F")  # LAPACK layout, factored in place
-        ab[u] = self.diag
-        for k, c in self.upper:
-            ab[u - k, k:] += c
-        return ab
 
-    def factor(self) -> np.ndarray:
-        """The upper banded Cholesky factor; NonConvergenceError unless positive definite."""
-        with _single_blas_thread():
-            factor, info = _flapack().dpbtrf(self.banded(), overwrite_ab=1)
-        if info > 0:
-            raise NonConvergenceError(
-                f"implicit matrix factorization failed: {info}-th leading minor not positive definite"
-            )
-        if info:
-            raise ValueError(f"dpbtrf: illegal value in argument {-info}")
-        return factor
+def _sine_modes(n: int) -> tuple:
+    """(S, eigenvalues) of the n-node Dirichlet second difference tridiag(-1, 2, -1): S is
+    orthonormal and symmetric, its own inverse, with column j sin(pi j k / (n + 1))."""
+    k = np.arange(1, n + 1)
+    basis = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) * (math.pi / (n + 1)))
+    return basis, 4.0 * np.sin(k * (math.pi / (2 * (n + 1)))) ** 2
 
 
-@functools.lru_cache(maxsize=None)
-def _flapack():
-    """scipy.linalg._flapack, loaded from its file without importing scipy.
+def _sine_preconditioner(modes: list, means: tuple):
+    """r -> P^-1 r for P = I + sum_a means[a] L_a, L_a the second difference along axis a.
 
-    find_spec locates the scipy package without running its __init__.  The
-    module is registered under its own name, so a later `import scipy.linalg`
-    uses it; if scipy.linalg came first, its module object is the one kept.
+    P is the implicit matrix when D is constant, as at p = 2 with A = 1.  With R = r
+    in grid shape, P^-1 r = S_0 (S_0 R S_1 / (1 + sum_a means[a] lambda_a)) S_1 (in 1D, S_0 (S_0 r / ...)).
     """
-    import importlib.machinery
-    import importlib.util
+    shape = tuple(len(eigenvalues) for _, eigenvalues in modes)
+    denominator = 1.0
+    for (_, eigenvalues), mean in zip(modes, means):
+        denominator = np.add.outer(denominator, mean * eigenvalues)
 
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None:
-        raise ImportError("the IMEX solver needs scipy, which is not installed")
-    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg, "_flapack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise ImportError(f"no scipy.linalg._flapack extension in {linalg}")
-    name = "scipy.linalg._flapack"
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
-    loader.exec_module(module)
-    return sys.modules.setdefault(name, module)
+    def transform(y):
+        y = modes[0][0] @ y
+        return y @ modes[1][0] if len(modes) == 2 else y
+
+    return lambda r: transform(transform(r.reshape(shape)) / denominator).ravel()
 
 
-def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    x, info = _flapack().dpbtrs(factor, rhs)
-    if info:
-        raise ValueError(f"dpbtrs: illegal value in argument {-info}")
-    return x
-
-
-def _pcg_sweep(stencil, factor, b, x0, atol):
-    """CG on the stencil from x0, preconditioned with an earlier sweep's factor.
+def _pcg_sweep(stencil, precondition, b, x0, atol):
+    """CG on the stencil from x0, preconditioned by precondition(r) ~ stencil^-1 r.
 
     The operations and tests of scipy.sparse.linalg.cg (rtol 0, maxiter
     IMEX_CG_MAX_ITER), in its order, so the iterates are the same bits.  None
@@ -544,7 +466,7 @@ def _pcg_sweep(stencil, factor, b, x0, atol):
         for iteration in range(IMEX_CG_MAX_ITER):
             if np.linalg.norm(r) < atol:
                 break
-            z = _cho_solve(factor, r)
+            z = precondition(r)
             rho = np.dot(r, z)
             if iteration > 0:
                 p *= rho / rho_prev
@@ -565,19 +487,13 @@ def _pcg_sweep(stencil, factor, b, x0, atol):
 def spsolve(stencil: _ImplicitStencil, stepper: _ImexStepper, b: np.ndarray, x0: np.ndarray, atol: float):
     """Solve one IMEX sweep's stencil x = b; perfbench/traced.py times each call by this name.
 
-    CG from x0 to atol, preconditioned with stepper.factor, an earlier sweep's
-    banded Cholesky factor.  When there is none, or CG misses atol within
-    IMEX_CG_MAX_ITER iterations (the factor is stale), the stencil's own
-    factor replaces it in stepper and solves directly; NonConvergenceError
-    when that factorization fails.
+    CG from x0 to atol, preconditioned with stepper's sine modes (_sine_preconditioner);
+    NonConvergenceError when CG misses atol within IMEX_CG_MAX_ITER iterations.
     """
-    if stepper.factor is not None:
-        x = _pcg_sweep(stencil, stepper.factor, b, x0, atol)
-        if x is not None:
-            return x
-    stepper.factor = None  # hold one band at a time: free the stale one first
-    stepper.factor = stencil.factor()
-    return _cho_solve(stepper.factor, b)
+    x = _pcg_sweep(stencil, _sine_preconditioner(stepper.modes, stencil.means), b, x0, atol)
+    if x is None:
+        raise NonConvergenceError(f"CG did not reach {atol} in {IMEX_CG_MAX_ITER} iterations")
+    return x
 
 
 def step_imex(
@@ -598,16 +514,15 @@ def step_imex(
     sweep re-linearizes and discards any accuracy beyond it, and the step is
     accepted only once its own residual is below the tolerance.  stepper,
     when given, is the _ImexStepper on fld's grid whose kernel the step works
-    in and whose factor (None at first) spsolve uses and renews.
+    in and whose sine modes spsolve preconditions with.
     When the stepper holds the previous accepted step (u_{n-1}, dt_prev), the
     first iterate is u_n + (dt/dt_prev)(u_n - u_{n-1}); the source and the
     right-hand side still use u_n.  Without a stepper the step builds a fresh
-    one, so it starts from u_n and its first sweep always factors.  Every
-    iterate, the first, each solved one and each damped one, is loaded once,
-    its mobility taken at t + dt and its flux divergence formed.  A
-    non-finite value anywhere (in the iterate, a real face's mobility or a
-    flux) makes that divergence non-finite, and that, a failed
-    factorization, or IMEX_MAX_ITER sweeps without convergence raise
+    one, so it starts from u_n.  Every iterate, the first, each solved one and
+    each damped one, is loaded once, its mobility taken at t + dt and its flux
+    divergence formed.  A non-finite value anywhere (in the iterate, a real
+    face's mobility or a flux) makes that divergence non-finite, and that, a
+    CG solve that misses its stop, or IMEX_MAX_ITER sweeps without convergence raise
     NonConvergenceError: a _DatumFailure when the iterate is u_n itself,
     whose divergence no dt changes (short of an A(t + dt) that moves a flux
     across overflow).
@@ -715,8 +630,8 @@ def _step_size(t: float, dt: float) -> float:
 class _ImexStepper:
     """step_imex at dt_init, halving dt after each solve that fails to converge, but not on a _DatumFailure.
 
-    Every step works in the one FluxKernel, kernel, and factor holds the last
-    banded factor spsolve made (None at first), a rejected step's included.
+    Every step works in the one FluxKernel, kernel, and modes holds each
+    axis's _sine_modes, from which spsolve builds every sweep's preconditioner.
     previous holds (u_{n-1}, dt) of the last accepted step (None at first),
     from which step_imex extrapolates its first iterate; a rejected attempt
     leaves it as it was.
@@ -727,7 +642,7 @@ class _ImexStepper:
     ):
         self.grid, self.params, self.coeff, self.eps_reg, self.dt_init = grid, params, coeff, eps_reg, dt_init
         self.kernel = FluxKernel(grid)
-        self.factor = None
+        self.modes = [_sine_modes(n) for n in grid.shape]
         self.previous = None
         self.rejected = 0
 

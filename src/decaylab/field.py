@@ -431,10 +431,13 @@ class FluxKernel:
         return self._nodal, self._div, work, np.ndarray(self.grid.shape, buffer=work, strides=self._div_nodes.strides)
 
     def implicit_matrix(self, dt: float) -> tuple:
-        """evolve._ImplicitStencil's (diag, upper) at dt for the last mobility(); overwrites the flux."""
-        shape, diag, node_strides, upper = self.grid.shape, self._node_work, self._div_nodes.strides, []
+        """evolve._ImplicitStencil's (diag, upper, means) at dt for the last mobility(); overwrites the flux."""
+        shape, diag, node_strides = self.grid.shape, self._node_work, self._div_nodes.strides
+        upper, means = [], []
         for axis, h in enumerate(self.grid.spacing):  # dt mob / h^2 over the axis's faces, into the work array
-            np.multiply(self._mob[axis], dt / (h * h), out=self._face_work[axis])
+            scale = dt / (h * h)
+            np.multiply(self._mob[axis], scale, out=self._face_work[axis])
+            means.append(float(self._mob_faces[axis].mean()) * scale)
             hi, lo = self._flux_halves[axis]
             np.add(diag if axis else 1.0, lo, out=diag)  # 1 + lower + upper face, axis by axis
             np.add(diag, hi, out=diag)
@@ -442,7 +445,7 @@ class FluxKernel:
             coupling.swapaxes(0, axis)[-1] = 0.0  # a node that ends its line couples to none
             stride = coupling.strides[axis] // coupling.itemsize
             upper.insert(0, (stride, coupling.ravel()[: coupling.size - stride]))
-        return np.ndarray(shape, buffer=diag, strides=node_strides).flatten(), tuple(upper)
+        return np.ndarray(shape, buffer=diag, strides=node_strides).flatten(), tuple(upper), tuple(means)
 
 
 _ALIGN = 64  # bytes: a cache line, and the widest SIMD register
@@ -453,7 +456,7 @@ def _aligned_buffers(sizes: list) -> list:
     """Uninitialized float64 arrays of the given sizes from one slab, each on a 64-byte boundary."""
     lines = [-(-n // _LANES) * _LANES for n in sizes]
     slab = np.empty(sum(lines) + _LANES)
-    start = -slab.ctypes.data % _ALIGN // 8
+    start = -slab.__array_interface__["data"][0] % _ALIGN // 8
     buffers = []
     for n, span in zip(sizes, lines):
         buffers.append(slab[start : start + n])

@@ -4,7 +4,6 @@ import random
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, cg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +18,8 @@ from decaylab.evolve import (
     _ImexStepper,
     _ImplicitStencil,
     _pcg_sweep,
+    _sine_modes,
+    _sine_preconditioner,
     detect_extinction,
     make_initial,
     run,
@@ -339,15 +340,6 @@ def _stencil(grid: Grid, dfaces: list, dt: float) -> _ImplicitStencil:
     return _ImplicitStencil(*kernel.implicit_matrix(dt))
 
 
-def _dense_from_upper_band(ab: np.ndarray) -> np.ndarray:
-    u, n = ab.shape[0] - 1, ab.shape[1]
-    mat = np.zeros((n, n))
-    for j in range(n):
-        for i in range(max(0, j - u), j + 1):
-            mat[i, j] = mat[j, i] = ab[u + i - j, j]
-    return mat
-
-
 COEFFICIENTS = {
     "identity": CoefficientField(),
     "scalar": CoefficientField(
@@ -371,7 +363,8 @@ def test_implicit_stencil_matches_dense_assembly(shape, coeff_kind):
     want = _dense_implicit(grid, dfaces, dt)
     stencil = _stencil(grid, dfaces, dt)
     n = want.shape[0]
-    assert np.allclose(_dense_from_upper_band(stencil.banded()), want, rtol=1e-14, atol=1e-14)
+    means = [dt * float(np.mean(d)) / (h * h) for d, h in zip(dfaces, grid.spacing)]
+    assert np.allclose(stencil.means, means, rtol=1e-14, atol=0.0)
     columns = np.column_stack([stencil.matvec(np.eye(n)[:, k]) for k in range(n)])
     assert np.allclose(columns, want, rtol=1e-14, atol=1e-14)
     v = rng.standard_normal(n)
@@ -391,17 +384,6 @@ def test_step_imex_degenerate_2d_grid_matches_dense_reference(shape):
     assert np.allclose(got.values, want, rtol=1e-12, atol=1e-13)
 
 
-def test_single_blas_thread_restores_the_thread_count():
-    control = evolve._openblas_threads()
-    if control is None:
-        pytest.skip("scipy.linalg is not backed by an OpenBLAS with thread control")
-    get, _ = control
-    before = get()
-    with evolve._single_blas_thread():
-        assert get() == 1
-    assert get() == before
-
-
 def test_step_imex_flat_region_without_regularization_is_nonconvergence():
     # p < 2 with eps_reg = 0: a zero-gradient face has infinite diffusivity
     params = ProblemParams(p=1.5, q=1.0, dim_n=3)
@@ -410,34 +392,6 @@ def test_step_imex_flat_region_without_regularization_is_nonconvergence():
         assert np.any(u0.values == 0.0)
         with pytest.raises(NonConvergenceError, match="non-finite"):
             step_imex(u0, 1e-3, params, eps_reg=0.0)
-
-
-def _count_factorizations(monkeypatch) -> list:
-    factorizations = []
-    real_factor = _ImplicitStencil.factor
-
-    def counting_factor(self):
-        factorizations.append(1)
-        return real_factor(self)
-
-    monkeypatch.setattr(_ImplicitStencil, "factor", counting_factor)
-    return factorizations
-
-
-def test_step_imex_refactor_path_matches(monkeypatch):
-    # with no CG budget every sweep re-factors its own matrix and solves directly
-    grid = Grid((9, 11), (1.0, 1.2))
-    u0 = make_initial(InitialSpec(kind="bump"), grid)
-    params = ProblemParams(p=1.8, q=1.0, dim_n=2)
-    factorizations = _count_factorizations(monkeypatch)
-    pcg = step_imex(u0, 5e-3, params, eps_reg=1e-4)
-    pcg_factorizations = len(factorizations)
-    monkeypatch.setattr(evolve, "IMEX_CG_MAX_ITER", 0)
-    factorizations.clear()
-    direct = step_imex(u0, 5e-3, params, eps_reg=1e-4)
-    assert 1 <= pcg_factorizations < len(factorizations)
-    diff = lr_norm(pcg.values - direct.values, 2.0, grid.quad_weight)
-    assert diff <= 2.0 * _imex_tol(u0)
 
 
 def _random_faces(grid: Grid, rng) -> list:
@@ -449,13 +403,11 @@ def _random_faces(grid: Grid, rng) -> list:
     return faces
 
 
-def _scipy_pcg(stencil, factor, b, x0, atol):
-    """The PCG sweep through scipy's cg, LinearOperator and cho_solve_banded."""
+def _scipy_pcg(stencil, precondition, b, x0, atol):
+    """The PCG sweep through scipy's cg and LinearOperator."""
     n = b.size
     mat = LinearOperator((n, n), matvec=stencil.matvec, dtype=float)
-    precond = LinearOperator(
-        (n, n), matvec=lambda r: cho_solve_banded((factor, False), r, check_finite=False), dtype=float
-    )
+    precond = LinearOperator((n, n), matvec=precondition, dtype=float)
     x, _ = cg(mat, b, x0=x0, rtol=0.0, atol=atol, maxiter=evolve.IMEX_CG_MAX_ITER, M=precond)
     return x if np.linalg.norm(b - stencil.matvec(x)) <= atol else None
 
@@ -465,34 +417,54 @@ def _scipy_pcg(stencil, factor, b, x0, atol):
 def test_pcg_sweep_matches_scipy_cg_bit_for_bit(shape, case, monkeypatch):
     grid = Grid(shape, (1.0,) * len(shape) if len(shape) == 1 else (1.0, 1.3))
     rng = np.random.default_rng(len(case) + sum(shape))
-    faces = _random_faces(grid, rng)
-    stencil = _stencil(grid, faces, 0.05)
-    # the factor of an earlier matrix near enough for CG to converge within IMEX_CG_MAX_ITER
-    earlier = _stencil(grid, [f * rng.uniform(1 - 1e-6, 1 + 1e-6, f.shape) for f in faces], 0.05)
-    factor = earlier.factor()
-    assert np.array_equal(factor, cholesky_banded(earlier.banded()))
+    stencil = _stencil(grid, _random_faces(grid, rng), 0.05)
+    precondition = _sine_preconditioner([_sine_modes(n) for n in shape], stencil.means)
     n = stencil.diag.size
     b = np.zeros(n) if case == "zero_rhs" else rng.uniform(0.0, 1.0, n)
     x0 = np.zeros(n) if case == "x0_zero" else b + 1e-3 * rng.standard_normal(n)
     atol = 1e-300 if case == "misses" else 1e-9
-    want = _scipy_pcg(stencil, factor, b, x0.copy(), atol)
     x0_before = x0.copy()
-    got = _pcg_sweep(stencil, factor, b, x0, atol)
-    assert np.array_equal(x0, x0_before)
-    if case == "misses":
-        assert want is None and got is None
-    else:
-        assert want is not None and got.tobytes() == want.tobytes()
-    if case in ("warm", "x0_zero"):  # the comparison covers every iteration up to the cap
-        monkeypatch.setattr(evolve, "IMEX_CG_MAX_ITER", evolve.IMEX_CG_MAX_ITER - 1)
-        assert _pcg_sweep(stencil, factor, b, x0, atol) is None
-    assert evolve._cho_solve(factor, b).tobytes() == cho_solve_banded((factor, False), b).tobytes()
+    if case in ("zero_rhs", "misses"):
+        with np.errstate(invalid="ignore"):  # a residual that reaches exact zero divides 0 by 0 next
+            want = _scipy_pcg(stencil, precondition, b, x0.copy(), atol)
+            got = _pcg_sweep(stencil, precondition, b, x0, atol)
+        assert np.array_equal(x0, x0_before)
+        assert (want is None and got is None) if case == "misses" else got.tobytes() == want.tobytes()
+        return
+    # every iteration count up to convergence: both miss, then both return the same bits
+    for cap in range(1, n + 1):
+        monkeypatch.setattr(evolve, "IMEX_CG_MAX_ITER", cap)
+        want = _scipy_pcg(stencil, precondition, b, x0.copy(), atol)
+        got = _pcg_sweep(stencil, precondition, b, x0, atol)
+        assert np.array_equal(x0, x0_before)
+        if want is not None:
+            break
+        assert got is None
+    assert cap >= 2 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (9,), (1, 6), (6, 1), (7, 8)])
+def test_sine_preconditioner_inverts_the_constant_coefficient_matrix(shape):
+    # at p = 2 with A = 1 every face couples alike, so the implicit matrix is I + sum_a c_a L_a
+    grid = Grid(shape, (1.0,) * len(shape) if len(shape) == 1 else (1.0, 1.3))
+    stencil = _stencil(grid, [1.0] * grid.dim, 0.05)
+    precondition = _sine_preconditioner([_sine_modes(n) for n in shape], stencil.means)
+    r = np.random.default_rng(sum(shape)).standard_normal(stencil.diag.size)
+    assert np.allclose(stencil.matvec(precondition(r)), r, rtol=0.0, atol=1e-13)
+    for n in shape:
+        basis, eigenvalues = _sine_modes(n)
+        assert np.allclose(basis @ basis, np.eye(n), rtol=0.0, atol=1e-14)
+        second_difference = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        assert np.allclose(second_difference @ basis, basis * eigenvalues, rtol=0.0, atol=1e-13)
 
 
 def test_non_spd_matrix_is_nonconvergence():
-    stencil = _ImplicitStencil(np.array([1.0, 0.5, 2.0]), ((1, np.array([1.0, 0.0])),))
-    with pytest.raises(NonConvergenceError, match="2-th leading minor not positive definite"):
-        stencil.factor()
+    # [[1, 1], [1, 1]] is singular, and b = (1, 0) lies outside its range: no x meets atol
+    stencil = _ImplicitStencil(np.array([1.0, 1.0]), ((1, np.array([1.0])),), (0.0,))
+    stepper = _ImexStepper(Grid((2,), (1.0,)), P_HEAT, CoefficientField(), 0.0, 1e-3)
+    with np.errstate(divide="ignore", invalid="ignore"):  # CG breaks down into NaN on it
+        with pytest.raises(NonConvergenceError, match="CG did not reach"):
+            evolve.spsolve(stencil, stepper, np.array([1.0, 0.0]), np.zeros(2), 1e-9)
 
 
 P_FAST = ProblemParams(p=1.8, q=1.0, dim_n=2)
@@ -506,13 +478,12 @@ def _imex_scenario(t_end: float) -> Scenario:
 
 
 def _record_steps(monkeypatch) -> list:
-    """(state, args, the factor handed in, result, kernel) of every step_imex call."""
+    """(state, args, result, kernel) of every step_imex call."""
     steps, real_step = [], evolve.step_imex
 
     def recording_step(fld, *args, stepper):
-        stale = stepper.factor
         new = real_step(fld, *args, stepper=stepper)
-        steps.append((fld, args, stale, new, stepper.kernel))
+        steps.append((fld, args, new, stepper.kernel))
         return new
 
     monkeypatch.setattr(evolve, "step_imex", recording_step)
@@ -524,56 +495,53 @@ def _fresh_step_agrees(fld, args, new) -> bool:
     return lr_norm(new.values - fresh.values, 2.0, fld.grid.quad_weight) <= 2.0 * _imex_tol(fld)
 
 
-def test_run_holds_the_imex_factor_across_steps(monkeypatch):
-    factorizations = _count_factorizations(monkeypatch)
-    steps = _record_steps(monkeypatch)
-    result = run(_imex_scenario(0.1))
-    monkeypatch.undo()
-    assert result.steps_rejected == 0 and result.steps_accepted == len(steps)
-    assert 3 * len(factorizations) <= result.steps_accepted
-    assert steps[0][2] is None and all(stale is not None for _, _, stale, _, _ in steps[1:])
-    assert len({id(kernel) for *_, kernel in steps}) == 1
-    for fld, args, _, new, _ in steps:
-        assert _fresh_step_agrees(fld, args, new)
+def _count_solves(monkeypatch) -> tuple:
+    """One entry per spsolve call, and one per CG iteration (a preconditioner application)."""
+    solves, iterations = [], []
+    real_solve, real_preconditioner = evolve.spsolve, evolve._sine_preconditioner
 
-
-def _count_solves(monkeypatch) -> list:
-    """One entry per preconditioner application or direct solve (one dpbtrs call each)."""
-    solves, real_solve = [], evolve._cho_solve
-
-    def counting_solve(factor, rhs):
+    def counting_solve(*args):
         solves.append(1)
-        return real_solve(factor, rhs)
+        return real_solve(*args)
 
-    monkeypatch.setattr(evolve, "_cho_solve", counting_solve)
-    return solves
+    def counting_preconditioner(modes, means):
+        precondition = real_preconditioner(modes, means)
+
+        def counted(r):
+            iterations.append(1)
+            return precondition(r)
+
+        return counted
+
+    monkeypatch.setattr(evolve, "spsolve", counting_solve)
+    monkeypatch.setattr(evolve, "_sine_preconditioner", counting_preconditioner)
+    return solves, iterations
 
 
 def test_later_sweeps_stop_cg_at_a_fraction_of_the_outer_residual(monkeypatch):
-    # pinned just above the measured 584 applications and 3 factorizations
-    factorizations = _count_factorizations(monkeypatch)
-    solves = _count_solves(monkeypatch)
+    # pinned just above the measured 365 solves (sweeps) and 430 CG iterations
+    solves, iterations = _count_solves(monkeypatch)
     steps = _record_steps(monkeypatch)
     result = run(_imex_scenario(0.1))
     monkeypatch.undo()
     assert result.steps_rejected == 0 and result.steps_accepted == len(steps) == 68
-    assert len(solves) <= 600 and len(factorizations) <= 3
+    assert len(solves) <= 375 and len(iterations) <= 450
     # every accepted state meets the outer test, recomputed without the stepper's kernel
-    for fld, (dt, params, coeff, eps, t), _, new, _ in steps:
+    for fld, (dt, params, coeff, eps, t), new, _ in steps:
         assert params.gamma == 0.0  # no source: the right-hand side is the old state
         div = p_flux_divergence(new, coeff, params.p, eps, t + dt).values
         res = lr_norm(new.values - dt * div - fld.values, 2.0, fld.grid.quad_weight)
         assert res < _imex_tol(fld)
 
 
-def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
+def test_imex_halving_retries_in_the_same_stepper(monkeypatch):
     sc = _imex_scenario(1.0)
     stepper = _ImexStepper(sc.grid, sc.params, sc.coefficient, sc.eps_resolved, sc.dt_init)
     u, t = make_initial(sc.initial, sc.grid).values, 0.0
     for _ in range(3):
         u, dt = stepper.advance(u, t, 1.0 - t)
         t += dt
-    stale, held = stepper.factor, stepper.previous
+    held = stepper.previous
     steps = _record_steps(monkeypatch)
     recording_step, failed, previous = evolve.step_imex, [], []
 
@@ -589,8 +557,8 @@ def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
     monkeypatch.undo()
     assert stepper.rejected == 1 and failed == [2e-3]
     assert dt == 1e-3 and dt != 1.0 - t  # the halved step does not land
-    [(fld, args, handed, got, kernel)] = steps
-    assert handed is stale and args[0] == 1e-3 and got.values is new and kernel is stepper.kernel
+    [(fld, args, got, kernel)] = steps
+    assert args[0] == 1e-3 and got.values is new and kernel is stepper.kernel
     assert _fresh_step_agrees(fld, args, got)
     # the failed attempt leaves the held previous step for the retry; the accepted one replaces it
     assert previous[0] is held and previous[1] is held
@@ -598,16 +566,28 @@ def test_imex_halving_retries_with_the_stale_factor(monkeypatch):
 
 
 def test_c4_imex_work_stays_within_its_measured_counts(monkeypatch):
-    # the c4 run; pinned just above the measured 1,299 applications and 8 factorizations
-    factorizations = _count_factorizations(monkeypatch)
-    solves = _count_solves(monkeypatch)
+    # the c4 run; pinned just above the measured 1,304 solves (sweeps) and 2,041 CG iterations
+    solves, iterations = _count_solves(monkeypatch)
     result = run(Scenario(
         params=P_FAST, grid=Grid((64, 64), (1.0, 1.0)), initial=InitialSpec(kind="bump"), t_end=2.0,
         dt_init=2e-3, stepper="imex", sigma=2.0, r_list=(2.0,), stop_linf_atol=1e-10,
     ))
     monkeypatch.undo()
     assert result.steps_accepted == 299 and result.steps_rejected == 0
-    assert len(solves) <= 1350 and len(factorizations) <= 9
+    assert len(solves) <= 1330 and len(iterations) <= 2100
+
+
+def test_heat_imex_takes_one_sweep_of_one_cg_iteration_per_step(monkeypatch):
+    # at p = 2 with A = 1 the preconditioner is the implicit matrix itself, so
+    # CG's first iteration solves the linear step exactly; the source is explicit
+    solves, iterations = _count_solves(monkeypatch)
+    result = run(_scenario(
+        params=ProblemParams(p=2.0, q=1.5, dim_n=2, gamma=1.0), grid=Grid((24, 20), (1.0, 0.8)),
+        initial=InitialSpec(kind="bump"), t_end=0.05, dt_init=2e-3, stepper="imex",
+    ))
+    monkeypatch.undo()
+    assert result.steps_rejected == 0 and result.steps_accepted > 25
+    assert len(solves) == len(iterations) == result.steps_accepted
 
 
 def _first_sweep_faces(monkeypatch) -> list:
@@ -653,20 +633,6 @@ def test_imex_first_iterate_extrapolates_the_last_accepted_step(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(firsts[2], _mobility_of(u1, sc, dt0 + dt1)))
     assert not all(np.array_equal(a, b) for a, b in zip(firsts[1], firsts[2]))
     assert stepper.previous[0] is u1 and stepper.previous[1] == dt1
-
-
-def test_imex_factor_from_a_4x_different_dt_is_renewed(monkeypatch):
-    sc = _imex_scenario(1.0)
-    stepper = _ImexStepper(sc.grid, sc.params, sc.coefficient, sc.eps_resolved, sc.dt_init)
-    u0 = make_initial(sc.initial, sc.grid)
-    args = (sc.params, sc.coefficient, sc.eps_resolved, 0.0)
-    step_imex(u0, 4.0 * sc.dt_init, *args, stepper=stepper)
-    stale = stepper.factor
-    factorizations = _count_factorizations(monkeypatch)
-    new = step_imex(u0, sc.dt_init, *args, stepper=stepper)
-    monkeypatch.undo()
-    assert len(factorizations) >= 1 and stepper.factor is not stale
-    assert _fresh_step_agrees(u0, (sc.dt_init, *args), new)
 
 
 @pytest.mark.parametrize("stepper", ["explicit", "imex"])

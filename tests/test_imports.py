@@ -1,29 +1,19 @@
-"""The CLI loads one scipy extension, and only when an IMEX step runs, and never numpy.random.
+"""No command loads scipy or numpy.random.
 
-One fresh interpreter runs `classify`, `predict`, a small explicit `simulate`
-and `verify` on its series through `decaylab.cli.main`, with no scipy module
-loaded at the end; then an IMEX `simulate` loads exactly one scipy module,
-the LAPACK wrapper extension `scipy.linalg._flapack`.  `evolve.spsolve`, the
-sweep solve the benchmark times, is decaylab's own, and resolving it loads no
-more.  Two more fresh interpreters import decaylab and `scipy.linalg.lapack`
-in either order and share one set of LAPACK wrappers, as the test suite does
-in its own process.  A `random_positive` `simulate` and a one-job `sweep`
+One fresh interpreter runs `classify`, `predict`, a small explicit and a
+small IMEX `simulate`, `verify` on the explicit series and a one-job IMEX
+`sweep` through `decaylab.cli.main`, with no scipy module loaded at the end.
+`evolve.spsolve`, the sweep solve the benchmark times, is decaylab's own.
+Another fresh interpreter, in which `import scipy` fails, runs an IMEX
+`simulate` to exit 0.  A `random_positive` `simulate` and a one-job `sweep`
 draw their data from the standard library's `random` and never load
-`numpy.random`.  A scipy directory without the extension makes
-`_flapack()` raise ImportError naming that directory.
+`numpy.random`.
 """
 
-import importlib.machinery
-import importlib.util
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
-
-from decaylab import evolve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -91,41 +81,22 @@ assert cli.main(["predict", "--p", "2.0", "--q", "1.5", "--N", "3", "--gamma", "
 explicit = str(tmp / "explicit.cfg")
 assert cli.main(["simulate", "--config", explicit, "--out", str(tmp / "explicit")]) == 0
 assert cli.main(["verify", "--config", explicit, "--series", str(tmp / "explicit" / "series.csv")]) == 0
-assert not scipy_modules(), scipy_modules()[:5]
-
-assert cli.main(["simulate", "--config", str(tmp / "imex.cfg"), "--out", str(tmp / "imex")]) == 0
-assert scipy_modules() == ["scipy.linalg._flapack"], scipy_modules()[:5]
+imex = str(tmp / "imex.cfg")
+assert cli.main(["simulate", "--config", imex, "--out", str(tmp / "imex")]) == 0
+assert cli.main(["sweep", "--config", imex, "--out", str(tmp / "sweep"), "--jobs", "1"]) == 0
 assert evolve.spsolve.__module__ == "decaylab.evolve"
-assert scipy_modules() == ["scipy.linalg._flapack"], scipy_modules()[:5]
+assert not scipy_modules(), scipy_modules()[:5]
 print("import contract ok")
 """
 
-DECAYLAB_FIRST = """
+WITHOUT_SCIPY = """
 import sys
 
-from decaylab import evolve
+sys.modules["scipy"] = None  # every import of scipy or a submodule raises ImportError
 
-dpbtrf, dpbtrs = evolve._flapack().dpbtrf, evolve._flapack().dpbtrs
-import scipy.linalg.lapack
+from decaylab import cli
 
-assert scipy.linalg.lapack.dpbtrf is dpbtrf
-assert scipy.linalg.lapack.dpbtrs is dpbtrs
-assert sys.modules["scipy.linalg._flapack"] is evolve._flapack()
-assert evolve._openblas_threads() is not None
-print("shared ok")
-"""
-
-SCIPY_FIRST = """
-import sys
-
-import scipy.linalg.lapack
-
-from decaylab import evolve
-
-assert scipy.linalg.lapack.dpbtrf is evolve._flapack().dpbtrf
-assert scipy.linalg.lapack.dpbtrs is evolve._flapack().dpbtrs
-assert sys.modules["scipy.linalg._flapack"] is evolve._flapack()
-print("shared ok")
+sys.exit(cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]))
 """
 
 
@@ -138,7 +109,7 @@ def _run(script: str, *args: str) -> str:
     return proc.stdout
 
 
-def test_only_an_imex_step_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     (tmp_path / "explicit.cfg").write_text(EXPLICIT_CFG)
     (tmp_path / "imex.cfg").write_text(IMEX_CFG)
     assert _run(SCRIPT, str(tmp_path)).endswith("import contract ok\n")
@@ -149,21 +120,7 @@ def test_random_data_leave_numpy_random_unloaded(tmp_path):
     assert _run(RANDOM_SCRIPT, str(tmp_path)).endswith("no numpy.random\n")
 
 
-@pytest.mark.parametrize("script", [DECAYLAB_FIRST, SCIPY_FIRST], ids=["decaylab_first", "scipy_first"])
-def test_decaylab_and_scipy_linalg_share_the_lapack_wrappers(script):
-    assert _run(script).endswith("shared ok\n")
-
-
-def test_a_scipy_without_flapack_is_an_import_error(tmp_path, monkeypatch):
-    (tmp_path / "linalg").mkdir()
-    (tmp_path / "linalg" / "_flapack.py").write_text("")  # not an extension suffix
-    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    spec.submodule_search_locations = [str(tmp_path)]
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: spec)
-    evolve._flapack.cache_clear()
-    try:
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
-            evolve._flapack()
-    finally:
-        monkeypatch.undo()
-        evolve._flapack.cache_clear()
+def test_an_imex_simulate_runs_without_scipy(tmp_path):
+    (tmp_path / "imex.cfg").write_text(IMEX_CFG)
+    _run(WITHOUT_SCIPY, str(tmp_path / "imex.cfg"), str(tmp_path / "out"))
+    assert (tmp_path / "out" / "series.csv").is_file()

@@ -61,6 +61,10 @@ MUTANTS = (
     # killed by tests/test_evolve.py::test_random_positive_is_the_stdlib_stream_in_c_order
     Mutant("random_positive_seed_shifted", "evolve.py", "draw = random.Random(seed).random",
            "draw = random.Random(seed + 1).random"),
+    # the IMEX preconditioner's eigenvalues; killed first by
+    # tests/test_evolve.py::test_step_imex_matches_heat_reference, then by
+    # tests/test_evolve.py::test_heat_imex_takes_one_sweep_of_one_cg_iteration_per_step
+    Mutant("sine_eigenvalues_halved", "evolve.py", "4.0 * np.sin", "2.0 * np.sin"),
     # the operator's constants
     Mutant("inverse_h_halved", "field.py", "[1.0 / h for h in grid.spacing]", "[0.5 / h for h in grid.spacing]"),
     Mutant("quarter_h_as_half_h", "field.py", "1.0 / (4.0 * h)", "1.0 / (2.0 * h)"),

@@ -420,6 +420,29 @@ class FluxKernel:
             )
         return self._div_nodes
 
+    def newton_mobility(self, p: float, eps_reg: float) -> None:
+        """Turn the last mobility() into the flux's face-normal derivative; after divergence().
+
+        d(m g)/dg = m (1 + (p - 2) g^2 / (eps^2 + |grad u|^2)) for the face's
+        normal gradient g, formed as m + (p - 2) (flux g) / (eps^2 + mag2)
+        from the flux divergence() left in the work array.  A zero
+        denominator is raised to the least subnormal, so such a face keeps
+        m = 0 (at p > 2; at p < 2 its infinite mobility failed divergence()).
+        For p > 1 the result is at least (p - 1) m, so implicit_matrix() of it
+        stays symmetric positive definite.  At p = 2 it is m, left as it is.
+        Overwrites mag2 and the flux.
+        """
+        if p == 2.0:
+            return
+        grad, mag2, mob, flux = self._face_arrays
+        with np.errstate(invalid="ignore", over="ignore"):  # the NaN or inf of a border lane
+            np.add(mag2, eps_reg * eps_reg, out=mag2)
+            np.maximum(mag2, _SUBNORMAL, out=mag2)
+            np.multiply(flux, grad, out=flux)
+            np.divide(flux, mag2, out=flux)
+            np.multiply(flux, p - 2.0, out=flux)
+            np.add(mob, flux, out=mob)
+
     def node_range(self) -> tuple:
         """(|grad u|, divergence, work, work's real nodes) over the contiguous node range.
 
@@ -431,7 +454,8 @@ class FluxKernel:
         return self._nodal, self._div, work, np.ndarray(self.grid.shape, buffer=work, strides=self._div_nodes.strides)
 
     def implicit_matrix(self, dt: float) -> tuple:
-        """evolve._ImplicitStencil's (diag, upper, means) at dt for the last mobility(); overwrites the flux."""
+        """evolve._ImplicitStencil's (diag, upper, means) at dt for the last mobility() or
+        newton_mobility(); overwrites the flux."""
         shape, diag, node_strides = self.grid.shape, self._node_work, self._div_nodes.strides
         upper, means = [], []
         for axis, h in enumerate(self.grid.spacing):  # dt mob / h^2 over the axis's faces, into the work array
@@ -450,6 +474,7 @@ class FluxKernel:
 
 _ALIGN = 64  # bytes: a cache line, and the widest SIMD register
 _LANES = _ALIGN // 8  # doubles per _ALIGN bytes
+_SUBNORMAL = 5e-324  # the least positive double
 
 
 def _aligned_buffers(sizes: list) -> list:

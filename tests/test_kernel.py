@@ -2,12 +2,13 @@
 
 The reference below is the operator written out with a padded copy per
 call: face components, mobility, divergence and nodal |grad u| as fresh
-arrays, each written out separately for 1D and 2D, and the implicit matrix
-assembled the same way.  Like the kernel, it multiplies by 1/h, 1/(2h) and
-1/(4h) where the formulas divide, and takes the mobility power as
-exp(e log x) for an e outside POW_FREE.  Like the kernel, it forms the
-tangential term of a face as the sum of the centred differences
-u(n + 1) - u(n - 1), each times 1/(4h), of the face's two nodes.  Its nodal
+arrays, each written out separately for 1D and 2D, and the Newton face
+coefficient and the implicit matrix assembled the same way.  Like the
+kernel, it multiplies by 1/h, 1/(2h) and 1/(4h) where the formulas divide,
+and takes the mobility power as exp(e log x) for an e outside POW_FREE.
+Like the kernel, it forms the tangential term of a face as the sum of the
+centred differences u(n + 1) - u(n - 1), each times 1/(4h), of the face's
+two nodes.  Its nodal
 |grad u| is the root of the summed squares of the centred differences times
 1/(2h), which the kernel's 2 sqrt(sum of (difference * (1/4h))^2) equals bit
 for bit.  The kernel and the stencil must give the same bits, so every
@@ -189,44 +190,57 @@ def ref_assemble(grid, dfaces, dt):
     return diag.ravel(), ((1, along.ravel()[:-1]), (ny, -dx[1:-1, :].ravel())), means
 
 
+def ref_newton_mobility(comps, mobility, p, eps_reg):
+    """Per axis m + (p - 2) (flux g) / max(eps^2 + mag2, least subnormal), flux = m g; m at p = 2."""
+    if p == 2.0:
+        return mobility
+    jacobian = []
+    for (g, mag2), m in zip(comps, mobility):
+        with np.errstate(invalid="ignore"):
+            flux = m * g
+        jacobian.append(m + ((flux * g) / np.maximum(mag2 + eps_reg * eps_reg, 5e-324)) * (p - 2.0))
+    return jacobian
+
+
 def ref_step_imex(fld, dt, params, coeff, eps_reg, t):
     grid = fld.grid
     p = params.p
     t_new = t + dt
-    comps = ref_face_components(fld.values, grid.spacing)
     b = fld.values.copy()
     if params.gamma > 0.0:
         b = b + dt * params.gamma * ref_power(ref_nodal_magnitude(fld.values, grid.spacing), params.q)
     tol = IMEX_RTOL * (1.0 + lr_norm(fld.values, 2.0, grid.quad_weight))
-    flat_b = b.ravel()
-    cur = fld.values
-    dfaces = ref_face_mobility(comps, grid, coeff, p, eps_reg, t_new)
     modes = [evolve._sine_modes(n) for n in grid.shape]
-    prev_res = float("inf")
-    for sweep in range(IMEX_MAX_ITER):
-        if not all(np.all(np.isfinite(d)) for d in dfaces):
-            raise NonConvergenceError("non-finite face diffusivity")
-        if sweep == 0:  # the first CG stop is a fraction of the starting state's residual
-            res = lr_norm(cur - dt * ref_divergence(comps, dfaces, grid) - b, 2.0, grid.quad_weight)
-        cg_atol = IMEX_CG_FORCING * res / math.sqrt(grid.quad_weight)
-        stencil = evolve._ImplicitStencil(*ref_assemble(grid, dfaces, dt))
-        precondition = evolve._sine_preconditioner(modes, stencil.means)
-        x = evolve._pcg_sweep(stencil, precondition, flat_b, cur.ravel(), cg_atol)
-        if x is None:
-            raise NonConvergenceError("CG missed its stop")
-        if not np.all(np.isfinite(x)):
-            raise NonConvergenceError("non-finite solution")
-        x = x.reshape(grid.shape)
+
+    def residual(x):
+        """x's face components and mobility, -F(x) and |F(x)|."""
         comps = ref_face_components(x, grid.spacing)
-        dfaces = ref_face_mobility(comps, grid, coeff, p, eps_reg, t_new)
-        residual = x - dt * ref_divergence(comps, dfaces, grid) - b
-        res = lr_norm(residual, 2.0, grid.quad_weight)
+        mobility = ref_face_mobility(comps, grid, coeff, p, eps_reg, t_new)
+        try:
+            negative = b - (x - dt * ref_divergence(comps, mobility, grid))
+        except ValueError:
+            raise NonConvergenceError("non-finite flux divergence") from None
+        return comps, mobility, negative, lr_norm(negative, 2.0, grid.quad_weight)
+
+    cur = fld.values
+    comps, mobility, negative, res = residual(cur)
+    prev_res = float("inf")
+    for _ in range(IMEX_MAX_ITER):
+        cg_atol = IMEX_CG_FORCING * res / math.sqrt(grid.quad_weight)
+        jacobian = ref_newton_mobility(comps, mobility, p, eps_reg)
+        stencil = evolve._ImplicitStencil(*ref_assemble(grid, jacobian, dt))
+        precondition = evolve._sine_preconditioner(modes, stencil.means)
+        delta = evolve._pcg_sweep(stencil, precondition, negative.ravel(), np.zeros(b.size), cg_atol)
+        if delta is None:
+            raise NonConvergenceError("CG missed its stop")
+        x = cur + delta.reshape(grid.shape)
+        comps, mobility, negative, res = residual(x)
         if res < tol:
             ref_check_overflow(x, t_new)
             return x
         if res >= prev_res:
             x = 0.5 * (x + cur)
-            dfaces = ref_face_mobility(ref_face_components(x, grid.spacing), grid, coeff, p, eps_reg, t_new)
+            comps, mobility, negative, _ = residual(x)
         cur = x
         prev_res = res
     raise NonConvergenceError("no convergence")

@@ -15,13 +15,17 @@ thread, every config below from this repository:
   as integers, with `simulate` and with `sweep --jobs 1`;
 - the explicit2d config with its numbers written as JSON strings and a
   shorter t_end;
-- the imex2d config at p = 3.5, q = 1.2 on a 24 x 24 grid up to t = 0.05,
-  with gamma = 1 (which damps 139 sweeps in 193 steps) and with gamma = 0
-  (which damps 36 and halves dt twice): the damping and halving paths that
-  imex2d itself never takes;
+- the imex2d config at p = 1.3, q = 1.2 on a 24 x 24 grid up to t = 0.3,
+  at dt_init = 0.1 and sample_ratio = 1.5, with gamma = 1 (which damps 435
+  sweeps and halves dt 4 times) and with gamma = 0 (which damps 978 and
+  halves dt 10 times): the damping and halving paths that imex2d itself
+  never takes;
 - the imex2d config at p = 2, q = 1.5, gamma = 1 on a 48 x 48 grid up to
   t = 0.5: the linear-diffusion IMEX path (395 steps), which no benchmark
   workload runs;
+- the imex2d config at p = 3 and at p = 1.3 up to t = 0.5 (395 and 193
+  steps): the regimes where the sweeps' Newton matrix departs most from
+  the mobility, which imex2d's p = 1.8 does not reach;
 - ONE_D, 64 nodes in 1D with an eigenfunction datum at p = 2, q = 1.9,
   gamma = 50, dim_n = 2 up to t = 0.5, whose bounded datum overflows
   (exit 4): explicitly at t = 6.73e-4, and with IMEX at dt_init = 1e-3 at
@@ -64,7 +68,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads"
 CLI = "import sys; from decaylab.cli import main; sys.exit(main())"
 SINUSOIDAL = {"coefficient": '"sinusoidal"', "alpha": "0.5", "lambda_upper": "1.5"}
-DAMPED_IMEX = {"p": "3.5", "q": "1.2", "grid_n": "[24, 24]", "t_end": "0.05"}
+DAMPED_IMEX = {"p": "1.3", "q": "1.2", "grid_n": "[24, 24]", "t_end": "0.3", "dt_init": "0.1", "sample_ratio": "1.5"}
 LINEAR_IMEX = {"p": "2", "q": "1.5", "gamma": "1", "grid_n": "[48, 48]", "t_end": "0.5"}
 STRING_NUMBERS = {"p": '"1.9"', "q": '"1.5"', "gamma": '"0.1"', "alpha": '"1"', "lambda_upper": '"1.0"',
                   "sobolev_const": '"2"', "initial_amplitude": '"0.8"', "initial_cap": '"1e6"',
@@ -154,6 +158,8 @@ def runs(seeds) -> list:
         ("damped_imex_source", with_keys(imex, {**DAMPED_IMEX, "gamma": "1"}), ["simulate"]),
         ("damped_imex_halving", with_keys(imex, {**DAMPED_IMEX, "gamma": "0"}), ["simulate"]),
         ("linear_imex", with_keys(imex, LINEAR_IMEX), ["simulate"]),
+        ("imex_p3", with_keys(imex, {"p": "3", "t_end": "0.5"}), ["simulate"]),
+        ("imex_p1.3", with_keys(imex, {"p": "1.3", "t_end": "0.5"}), ["simulate"]),
         ("oned_explicit_overflow", ONE_D, ["simulate"]),
         ("oned_imex_overflow", with_keys(ONE_D, {"stepper": '"imex"', "dt_init": "1e-3"}), ["simulate"]),
         ("oned_imex", with_keys(ONE_D, ONE_D_IMEX), ["simulate"]),

@@ -65,6 +65,11 @@ MUTANTS = (
     # tests/test_evolve.py::test_step_imex_matches_heat_reference, then by
     # tests/test_evolve.py::test_heat_imex_takes_one_sweep_of_one_cg_iteration_per_step
     Mutant("sine_eigenvalues_halved", "evolve.py", "4.0 * np.sin", "2.0 * np.sin"),
+    # the IMEX sweep matrix's Newton term: dropping it restores lagged diffusivity;
+    # killed first by tests/test_evolve.py::test_newton_matrix_is_the_step_jacobian_in_1d,
+    # then by test_imex_newton_work_away_from_p_2_stays_within_its_measured_counts at p = 3
+    Mutant("imex_newton_term_dropped", "field.py", "np.multiply(flux, p - 2.0, out=flux)",
+           "np.multiply(flux, 0.0, out=flux)"),
     # the operator's constants
     Mutant("inverse_h_halved", "field.py", "[1.0 / h for h in grid.spacing]", "[0.5 / h for h in grid.spacing]"),
     Mutant("quarter_h_as_half_h", "field.py", "1.0 / (4.0 * h)", "1.0 / (2.0 * h)"),
